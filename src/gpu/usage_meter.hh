@@ -11,8 +11,9 @@
 #ifndef NEON_GPU_USAGE_METER_HH
 #define NEON_GPU_USAGE_METER_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "gpu/request.hh"
 #include "sim/types.hh"
@@ -20,7 +21,13 @@
 namespace neon
 {
 
-/** Per-task and aggregate busy-time counters for the device. */
+/**
+ * Per-task and aggregate busy-time counters for the device.
+ *
+ * Tasks are keyed by pid. Pids come from the owning kernel's counter,
+ * which starts at 1 and never reuses a value, so the per-task table is
+ * a dense vector indexed by pid: one indexed access per completion.
+ */
 class UsageMeter
 {
   public:
@@ -28,7 +35,7 @@ class UsageMeter
     void
     recordBusy(int task_id, Tick duration, RequestClass cls)
     {
-        perTask[task_id] += duration;
+        slot(task_id).busy += duration;
         busy += duration;
         if (cls == RequestClass::Dma)
             dmaBusy += duration;
@@ -38,37 +45,64 @@ class UsageMeter
     void recordSwitch(Tick duration) { switchOverhead += duration; }
 
     /** Record completed request count for a task. */
-    void noteRequest(int task_id) { ++requests[task_id]; }
-
-    Tick busyOf(int task_id) const
+    void
+    noteRequest(int task_id)
     {
-        auto it = perTask.find(task_id);
-        return it == perTask.end() ? 0 : it->second;
+        ++slot(task_id).requests;
+        ++nRequests;
     }
 
-    std::uint64_t requestsOf(int task_id) const
+    Tick
+    busyOf(int task_id) const
     {
-        auto it = requests.find(task_id);
-        return it == requests.end() ? 0 : it->second;
+        return known(task_id) ? perTask[std::size_t(task_id)].busy : 0;
+    }
+
+    std::uint64_t
+    requestsOf(int task_id) const
+    {
+        return known(task_id) ? perTask[std::size_t(task_id)].requests : 0;
     }
 
     Tick totalBusy() const { return busy; }
     Tick totalDmaBusy() const { return dmaBusy; }
     Tick totalSwitchOverhead() const { return switchOverhead; }
 
-    const std::map<int, Tick> &perTaskBusy() const { return perTask; }
+    /** Completed requests summed over every task. */
+    std::uint64_t totalRequests() const { return nRequests; }
 
     void
     reset()
     {
         perTask.clear();
-        requests.clear();
+        nRequests = 0;
         busy = dmaBusy = switchOverhead = 0;
     }
 
   private:
-    std::map<int, Tick> perTask;
-    std::map<int, std::uint64_t> requests;
+    struct TaskUsage
+    {
+        Tick busy = 0;
+        std::uint64_t requests = 0;
+    };
+
+    bool
+    known(int task_id) const
+    {
+        return task_id >= 0 && std::size_t(task_id) < perTask.size();
+    }
+
+    TaskUsage &
+    slot(int task_id)
+    {
+        const auto i = static_cast<std::size_t>(task_id);
+        if (i >= perTask.size())
+            perTask.resize(i + 1);
+        return perTask[i];
+    }
+
+    std::vector<TaskUsage> perTask; ///< indexed by pid
+    std::uint64_t nRequests = 0;
     Tick busy = 0;
     Tick dmaBusy = 0;
     Tick switchOverhead = 0;

@@ -269,8 +269,7 @@ registerServeAudits(Auditor &a, ServeEngine &engine, FleetManager &fleet)
                    for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
                        const UsageMeter &m = fleet.stack(i).meter;
                        meter_busy += m.totalBusy();
-                       for (const auto &kv : m.perTaskBusy())
-                           meter_reqs += m.requestsOf(kv.first);
+                       meter_reqs += m.totalRequests();
                    }
                    log.check(session_busy == meter_busy,
                              "serve.usage_reconciliation", now, meter_busy,

@@ -38,7 +38,7 @@ namespace obs
 /** Trace categories: one bit each, combinable into a mask. */
 enum class TraceCategory : std::uint32_t
 {
-    SimCore = 1u << 0, ///< event-queue step / carve / compaction
+    SimCore = 1u << 0, ///< event-queue step / compaction
     Sched = 1u << 1,   ///< engage/disengage, timeslice, vtime, denial
     Kernel = 1u << 2,  ///< doorbell, park/release, poll, channel, kill
     Device = 1u << 3,  ///< execute/DMA engine dispatch and completion

@@ -81,8 +81,7 @@ KernelModule::killTask(Task &t, const std::string &reason)
     std::vector<Channel *> owned = t.channels();
     for (Channel *c : owned) {
         dev.abortChannel(*c);
-        chanTracker.forget(c->id());
-        channelRegistry.erase(c->id());
+        forgetChannel(c->id());
         std::erase(activeList, c);
         if (sched)
             sched->onChannelClosed(*c);
@@ -183,7 +182,10 @@ KernelModule::openChannel(Task &t, RequestClass cls, GpuContext *ctx)
     }
 
     if (c) {
-        channelRegistry[c->id()] = c;
+        const auto slot = static_cast<std::size_t>(c->id());
+        if (slot >= channelRegistry.size())
+            channelRegistry.resize(slot + 1, nullptr);
+        channelRegistry[slot] = c;
         t.noteChannelOwned(c);
 
         // Simulate the driver establishing the three key VMAs; the
@@ -234,8 +236,7 @@ KernelModule::closeChannel(Task &t, Channel *c)
     NEON_TRACE(obs::TraceCategory::Kernel, obs::TraceKind::Instant,
                "kern.chan_close", obs::TraceIds{deviceIndex(), t.pid(), -1},
                c->id(), 0);
-    chanTracker.forget(c->id());
-    channelRegistry.erase(c->id());
+    forgetChannel(c->id());
     std::erase(activeList, c);
     if (sched)
         sched->onChannelClosed(*c);
@@ -253,8 +254,17 @@ KernelModule::closeChannel(Task &t, Channel *c)
 Channel *
 KernelModule::findChannel(int id) const
 {
-    auto it = channelRegistry.find(id);
-    return it == channelRegistry.end() ? nullptr : it->second;
+    return id >= 0 && std::size_t(id) < channelRegistry.size()
+        ? channelRegistry[std::size_t(id)]
+        : nullptr;
+}
+
+void
+KernelModule::forgetChannel(int id)
+{
+    chanTracker.forget(id);
+    if (id >= 0 && std::size_t(id) < channelRegistry.size())
+        channelRegistry[std::size_t(id)] = nullptr;
 }
 
 void

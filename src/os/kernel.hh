@@ -219,6 +219,9 @@ class KernelModule
 
     void finishDoorbell(Task &t, int channel_id, GpuRequest req);
 
+    /** Drop a closing channel from the tracker and the registry. */
+    void forgetChannel(int id);
+
     EventQueue &eq;
     GpuDevice &dev;
     CostModel cost;
@@ -228,7 +231,13 @@ class KernelModule
     Scheduler *sched = nullptr;
 
     std::vector<Task *> taskList;
-    std::map<int, Channel *> channelRegistry;
+    /**
+     * Open channels indexed by channel id (nullptr once closed). The
+     * device hands out ids from a counter that starts at 1 and never
+     * reuses one, so every doorbell write finds its channel with one
+     * indexed load.
+     */
+    std::vector<Channel *> channelRegistry;
     std::vector<Channel *> activeList;
     std::map<int, ParkedSubmission> parked; // keyed by pid
     int nextPid = 1;

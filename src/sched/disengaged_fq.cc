@@ -81,10 +81,17 @@ DisengagedFairQueueing::onChannelClosed(Channel &c)
 void
 DisengagedFairQueueing::onTaskExited(Task &t)
 {
+    // Pids are never reused, so an exited task's entries would only
+    // accumulate: drop them from every pid-keyed table.
     taskStates.erase(t.pid());
+    vendorBusySeen.erase(t.pid());
     std::erase(samplingQueue, t.pid());
-    if (samplingPid == t.pid())
+    if (samplingPid == t.pid()) {
+        // endSample() closes the window on a fresh default state and
+        // re-creates the entry through stateOf(); drop it again.
         endSample();
+        taskStates.erase(t.pid());
+    }
     if (samplingDrainPid == t.pid()) {
         // Its channels are gone; nothing left to drain.
         samplingDrainPid = -1;

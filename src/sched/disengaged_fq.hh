@@ -125,6 +125,17 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
     void setVendorCounters(const UsageMeter *m) { vendorCounters = m; }
     std::uint64_t episodes() const { return nEpisodes; }
 
+    /**
+     * Entries across the pid-keyed tables. Exited tasks leave none, so
+     * this stays bounded by the live tasks however many have come and
+     * gone.
+     */
+    std::size_t
+    perTaskEntries() const
+    {
+        return taskStates.size() + vendorBusySeen.size();
+    }
+
   private:
     struct TaskState
     {

@@ -27,31 +27,36 @@ EventQueue::growPool()
 }
 
 void
-EventQueue::carve()
+EventQueue::growLane()
 {
-    // Move the staging heap wholesale into the consume batch and sort
-    // it descending, so execution pops live entries off the back in
-    // O(1). The two vectors swap storage, so capacity is recycled and
-    // steady-state carving performs no allocation.
-    batch.swap(heap);
-    std::sort(batch.begin(), batch.end(),
-              [](const Entry &a, const Entry &b) { return earlier(b, a); });
-    NEON_TRACE(obs::TraceCategory::SimCore, obs::TraceKind::Instant,
-               "eq.carve", obs::TraceIds{}, batch.size(), nStale);
+    // Double the ring and unroll it so the FIFO starts at index 0.
+    std::vector<std::uint64_t> grown(lane.empty() ? 64 : 2 * lane.size());
+    for (std::size_t i = 0; i < laneCount; ++i)
+        grown[i] = lane[(laneHead + i) & (lane.size() - 1)];
+    lane.swap(grown);
+    laneHead = 0;
 }
 
 void
 EventQueue::compact()
 {
-    const auto stale = [this](const Entry &e) { return !isLive(e); };
-    heap.erase(std::remove_if(heap.begin(), heap.end(), stale),
+    heap.erase(std::remove_if(heap.begin(), heap.end(),
+                              [this](Entry e) { return !isLive(keyOf(e)); }),
                heap.end());
-    // remove_if preserves relative order, so the batch stays sorted.
-    batch.erase(std::remove_if(batch.begin(), batch.end(), stale),
-                batch.end());
+
+    // Squeeze the lane's live keys together in place, keeping FIFO
+    // order; writes never overtake reads.
+    const std::size_t mask = lane.size() - 1;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < laneCount; ++i) {
+        const std::uint64_t key = lane[(laneHead + i) & mask];
+        if (isLive(key))
+            lane[(laneHead + kept++) & mask] = key;
+    }
+    laneCount = kept;
+
     NEON_TRACE(obs::TraceCategory::SimCore, obs::TraceKind::Instant,
-               "eq.compact", obs::TraceIds{}, nStale,
-               heap.size() + batch.size());
+               "eq.compact", obs::TraceIds{}, nStale, queued());
     nStale = 0;
     ++nCompactions;
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
+#include "harness/serve_runner.hh"
 #include "sched/disengaged_fq.hh"
 #include "workload/adversary.hh"
 
@@ -293,6 +294,32 @@ TEST(DisengagedFq, VendorStatisticsFixTheGlxgearsAnomaly)
     });
 
     EXPECT_LT(sd_vendor[0], sd_share[0] - 0.2);
+}
+
+TEST(DisengagedFq, PerTaskStateStaysBoundedAsTasksRetire)
+{
+    // Open-system churn under vendor-counter attribution: every
+    // departed session's pid must leave the scheduler's pid-keyed
+    // tables, or they grow by one entry per session for the life of
+    // the device.
+    ExperimentConfig cfg = dfqConfig();
+    cfg.dfq.attribution = DfqConfig::Attribution::DeviceCounters;
+    cfg.fleet.devices = 1;
+    cfg.serve.slotsPerDevice = 3;
+    WorkloadSpec w = WorkloadSpec::throttle(usec(300));
+    ServeWorld world(cfg, {{w, ArrivalSpec::poisson(40.0, msec(1800)),
+                            LifetimeSpec::fixed(msec(60))}});
+    world.start();
+    world.runFor(cfg.measure);
+    const ServeRunResult r = world.results();
+
+    auto *dfq = dynamic_cast<DisengagedFairQueueing *>(
+        world.fleet.stack(0).sched.get());
+    ASSERT_NE(dfq, nullptr);
+    EXPECT_GE(r.departures, 40u) << "too little churn to mean anything";
+    EXPECT_GE(dfq->episodes(), 20u);
+    // Two tables, at most one entry each per live task.
+    EXPECT_LE(dfq->perTaskEntries(), 2 * cfg.serve.slotsPerDevice);
 }
 
 } // namespace

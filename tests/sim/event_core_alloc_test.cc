@@ -4,9 +4,9 @@
  * step on the event queue performs zero heap allocations.
  *
  * The global operator new/delete pair below counts every allocation in
- * the test binary; the test warms the queue (pool and heap growth are
- * amortized start-up costs), then replays the identical workload and
- * requires the allocation counter not to move.
+ * the test binary; each test warms the queue (pool, heap and lane
+ * growth are amortized start-up costs), then replays the identical
+ * workload and requires the allocation counter not to move.
  */
 
 #include <gtest/gtest.h>
@@ -105,6 +105,58 @@ TEST(EventCoreAllocation, SteadyStateIsAllocationFree)
     EXPECT_EQ(fires, 2000u);
     EXPECT_EQ(after - before, 0u)
         << "steady-state schedule/cancel/step allocated "
+        << (after - before) << " times";
+}
+
+/**
+ * The zero-delay lane's steady state: a completion-like event wakes a
+ * chain of same-tick follow-ups (doorbell write done -> resume ->
+ * next submission), some of which are cancelled before they run.
+ */
+std::uint64_t
+runZeroDelayWorkload(EventQueue &eq, int rounds)
+{
+    struct Chain
+    {
+        EventQueue &eq;
+        std::uint64_t hops = 0;
+
+        void
+        hop(int left)
+        {
+            ++hops;
+            if (left > 0)
+                eq.scheduleIn(0, [this, left] { hop(left - 1); });
+        }
+    };
+
+    Chain c{eq};
+    for (int i = 0; i < rounds; ++i) {
+        eq.scheduleIn(7, [&c] { c.hop(4); });
+        eq.scheduleIn(7, [&c, &eq] {
+            // A same-tick entry cancelled while still in the lane.
+            const EventId doomed = eq.scheduleIn(0, [&c] { c.hop(0); });
+            eq.cancel(doomed);
+            c.hop(2);
+        });
+        eq.runFor(10);
+    }
+    eq.drain();
+    return c.hops;
+}
+
+TEST(EventCoreAllocation, ZeroDelayLaneIsAllocationFree)
+{
+    EventQueue eq;
+    runZeroDelayWorkload(eq, 2000);
+
+    const std::uint64_t before = gAllocCount.load();
+    const std::uint64_t hops = runZeroDelayWorkload(eq, 2000);
+    const std::uint64_t after = gAllocCount.load();
+
+    EXPECT_EQ(hops, 2000u * (5 + 3));
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state zero-delay scheduling allocated "
         << (after - before) << " times";
 }
 
