@@ -39,10 +39,32 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+// The nothrow forms must come from the same malloc as the deletes
+// above: std::stable_sort's temporary buffer allocates with
+// new(nothrow) and frees with sized delete, which ASan reports as an
+// alloc-dealloc mismatch if only one side is replaced.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    ++gAllocCount;
+    return std::malloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return ::operator new(size, std::nothrow);
+}
+
 void operator delete(void *p) noexcept { std::free(p); }
 void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, const std::nothrow_t &) noexcept { std::free(p); }
 void operator delete[](void *p) noexcept { std::free(p); }
 void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 namespace neon
 {
