@@ -9,8 +9,7 @@ and the committed baseline was produced on different hardware, so a
 relative shortfall only *warns*; the hard failure criterion stays the
 absolute events/s floor the perf-smoke job already applies (an
 order-of-magnitude guard, not a noise tripwire). Wall-clock-dominated
-composites (end-to-end sim rates, the shard scaling sweep) are
-warn-only at any ratio.
+composites (end-to-end sim rates) are warn-only at any ratio.
 
 Exit codes: 0 ok (warnings allowed), 1 hard floor violated, 2 usage or
 malformed report.
@@ -20,24 +19,17 @@ import json
 import sys
 
 # Fresh-vs-baseline ratio below which a case warns. The event-core
-# loops are stable enough for a tight-ish bound; the traced/audited
-# variants add instrumented work whose relative cost varies more by
-# compiler/host; composites are dominated by machine speed.
+# loops are stable enough for a tight-ish bound; composites are
+# dominated by machine speed.
 TOLERANCES = {
     "schedule_run": 0.5,
     "schedule_cancel_churn": 0.5,
     "fleet_interleave": 0.5,
-    "open_system_churn": 0.5,
-    "open_system_faulty": 0.5,
-    "open_system_shed": 0.5,
-    "open_system_churn_traced": 0.4,
-    "open_system_churn_audited": 0.4,
 }
 
 # The absolute floor applies to these cases (mirrors perf_report's own
-# --floor checks): the raw event core, the serving event shape, and
-# the serving shape with the admission control plane on every arrival.
-FLOOR_CASES = ("schedule_run", "open_system_churn", "open_system_shed")
+# --floor check): the raw event core.
+FLOOR_CASES = ("schedule_run",)
 
 
 def main(argv):

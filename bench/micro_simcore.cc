@@ -7,8 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-
 #include "neon/neon.hh"
 #include "simcore_cases.hh"
 
@@ -52,58 +50,6 @@ BM_EventQueueFleetScale(benchmark::State &state)
 BENCHMARK(BM_EventQueueFleetScale);
 
 void
-BM_OpenSystemChurn(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue eq;
-        benchmark::DoNotOptimize(
-            neonbench::openSystemChurnBatch(eq, 1024));
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * 1024);
-}
-BENCHMARK(BM_OpenSystemChurn);
-
-void
-BM_OpenSystemChurnAudited(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue eq;
-        obs::AuditLog audit;
-        benchmark::DoNotOptimize(
-            neonbench::openSystemChurnAuditedBatch(eq, 1024, audit));
-        benchmark::DoNotOptimize(audit.violations());
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * 1024);
-}
-BENCHMARK(BM_OpenSystemChurnAudited);
-
-void
-BM_OpenSystemFaulty(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue eq;
-        benchmark::DoNotOptimize(
-            neonbench::openSystemFaultyBatch(eq, 1024));
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * 1024);
-}
-BENCHMARK(BM_OpenSystemFaulty);
-
-void
-BM_OpenSystemShed(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue eq;
-        benchmark::DoNotOptimize(
-            neonbench::openSystemShedBatch(eq, 1024));
-    }
-    // Items are arrivals offered to the front door; throttled and shed
-    // ones cost an event each without a matching departure.
-    state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_OpenSystemShed);
-
-void
 BM_DeviceRequestThroughput(benchmark::State &state)
 {
     for (auto _ : state) {
@@ -125,51 +71,6 @@ BM_DeviceRequestThroughput(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_DeviceRequestThroughput);
-
-void
-BM_ShardedServing(benchmark::State &state)
-{
-    // Sharded open-system serving at N shards (arg). Manual timing:
-    // world assembly, kernel start, and worker-pool spawn/join are
-    // real costs but not simulation throughput, so only the runFor
-    // interval is measured.
-    const unsigned shards = static_cast<unsigned>(state.range(0));
-    for (auto _ : state) {
-        ExperimentConfig cfg;
-        cfg.sched = SchedKind::DisengagedFq;
-        cfg.fleet.devices = 16;
-        cfg.serve.slotsPerDevice = 2;
-        cfg.serve.useGlobalClock = true;
-        cfg.serve.clockPeriod = msec(10);
-        cfg.measure = msec(300);
-        cfg.shards.count = shards;
-
-        WorkloadSpec w = WorkloadSpec::throttle(usec(430));
-        w.label = "shard";
-        const ServeWorkloadSpec spec{
-            w, ArrivalSpec::poisson(200.0, msec(200)),
-            LifetimeSpec::fixed(msec(100))};
-
-        ServeWorld world(cfg, {spec});
-        world.start();
-
-        const auto t0 = std::chrono::steady_clock::now();
-        world.runFor(cfg.measure);
-        const auto t1 = std::chrono::steady_clock::now();
-
-        state.SetIterationTime(
-            std::chrono::duration<double>(t1 - t0).count());
-        benchmark::DoNotOptimize(world.eventsExecuted());
-        state.counters["events"] = static_cast<double>(
-            world.eventsExecuted());
-    }
-}
-BENCHMARK(BM_ShardedServing)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
 
 void
 BM_EndToEndSimulation(benchmark::State &state)

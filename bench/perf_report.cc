@@ -23,7 +23,6 @@
 #include <iostream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "neon/neon.hh"
 #include "simcore_cases.hh"
@@ -86,7 +85,7 @@ struct EndToEndServe
 {
     double simMs = 0.0;
     double wallS = 0.0;  ///< measured run interval only
-    double setupS = 0.0; ///< construction/start incl. thread spawn
+    double setupS = 0.0; ///< world construction + start (excluded)
     double simMsPerWallS = 0.0;
     double sessionsPerWallS = 0.0;
     std::uint64_t sessions = 0;
@@ -112,8 +111,8 @@ endToEndServe()
     const ServeWorkloadSpec spec{w, ArrivalSpec::poisson(80.0, sec(1)),
                                  LifetimeSpec::fixed(msec(200))};
 
-    // Setup (world assembly, kernel start, shard-thread spawn) is
-    // timed separately so the measured interval is pure simulation.
+    // Setup (world assembly, kernel start) is timed separately so the
+    // measured interval is pure simulation.
     EndToEndServe r;
     const auto c0 = Clock::now();
     ServeWorld world(cfg, {spec});
@@ -174,80 +173,6 @@ endToEndDfq()
     return r;
 }
 
-/** One point of the shard-count scaling sweep. */
-struct ScalePoint
-{
-    unsigned shards = 0;
-    unsigned threads = 0;  ///< workers actually spawned
-    double wallS = 0.0;    ///< measured run interval only
-    double setupS = 0.0;   ///< construction/start incl. thread spawn
-    double spawnS = 0.0;   ///< thread-spawn component of setup
-    std::uint64_t events = 0;
-    std::uint64_t windows = 0;
-    std::uint64_t mailboxMsgs = 0;
-    double eventsPerSec = 0.0;
-    double speedup = 1.0; ///< aggregate events/s vs. the 1-shard point
-};
-
-/**
- * Shard-count scaling sweep: the same 64-device open-system workload
- * at 1/2/4/8 shards. Only the runFor interval is measured — world
- * assembly, kernel start, and worker-pool spawn/join land in setup_s —
- * and the JSON records hardware_concurrency so numbers are comparable
- * across machines (on a single-core host the sweep measures windowing
- * overhead, not parallel speedup).
- */
-std::vector<ScalePoint>
-scaleSweep()
-{
-    std::vector<ScalePoint> pts;
-    for (unsigned shards : {1u, 2u, 4u, 8u}) {
-        ExperimentConfig cfg;
-        cfg.sched = SchedKind::DisengagedFq;
-        cfg.fleet.devices = 64;
-        cfg.serve.slotsPerDevice = 2;
-        cfg.serve.useGlobalClock = true;
-        cfg.serve.clockPeriod = msec(10);
-        cfg.measure = sec(1);
-        cfg.shards.count = shards;
-
-        WorkloadSpec w = WorkloadSpec::throttle(usec(430));
-        w.label = "scale";
-        const ServeWorkloadSpec spec{
-            w, ArrivalSpec::poisson(400.0, msec(700)),
-            LifetimeSpec::fixed(msec(200))};
-
-        ScalePoint p;
-        p.shards = shards;
-        const auto c0 = Clock::now();
-        ServeWorld world(cfg, {spec});
-        world.start();
-        p.setupS = secondsSince(c0);
-        p.threads = world.shardCore.threadCount();
-        p.spawnS = world.shardCore.setupSeconds();
-
-        const auto t0 = Clock::now();
-        world.runFor(cfg.measure);
-        p.wallS = secondsSince(t0);
-
-        p.events = world.eventsExecuted();
-        p.windows = world.shardCore.windowsRun();
-        p.mailboxMsgs = world.shardCore.mailboxMessages();
-        p.eventsPerSec = static_cast<double>(p.events) / p.wallS;
-        p.speedup =
-            pts.empty() ? 1.0 : p.eventsPerSec / pts.front().eventsPerSec;
-
-        const ServeRunResult res = world.results();
-        if (res.departures == 0) {
-            std::cerr << "perf_report: scale_sweep shards=" << shards
-                      << " served no sessions\n";
-            std::exit(2);
-        }
-        pts.push_back(p);
-    }
-    return pts;
-}
-
 void
 emitCase(std::ostream &os, const char *name, const CaseResult &r,
          bool last = false)
@@ -298,55 +223,10 @@ main(int argc, char **argv)
     const CaseResult fleet = timeCase(minS, [](EventQueue &eq) {
         return neonbench::fleetInterleaveBatch(eq, 512);
     });
-    std::cerr << "running open_system_churn...\n";
-    const CaseResult churn_serve = timeCase(minS, [](EventQueue &eq) {
-        return neonbench::openSystemChurnBatch(eq, batchN);
-    });
-    std::cerr << "running open_system_faulty...\n";
-    const CaseResult faulty = timeCase(minS, [](EventQueue &eq) {
-        return neonbench::openSystemFaultyBatch(eq, batchN);
-    });
-    std::cerr << "running open_system_shed...\n";
-    const CaseResult shed = timeCase(minS, [](EventQueue &eq) {
-        return neonbench::openSystemShedBatch(eq, batchN);
-    });
-    // Same workload with per-event SimCore tracing live, so the report
-    // tracks what switching the trace plane on costs the hot loop. The
-    // CI floor applies to the untraced case only.
-    std::cerr << "running open_system_churn (tracing on)...\n";
-    obs::TraceRecorder trace_ring(std::size_t(1) << 16);
-    const CaseResult churn_traced = timeCase(minS, [&](EventQueue &eq) {
-        obs::setTraceSink(
-            &trace_ring,
-            static_cast<std::uint32_t>(obs::TraceCategory::SimCore), &eq);
-        return neonbench::openSystemChurnBatch(eq, batchN);
-    });
-    obs::setTraceSink(nullptr, 0);
-    if (trace_ring.written() == 0) {
-        std::cerr << "perf_report: traced churn recorded nothing\n";
-        return 2;
-    }
-    // Same workload with the audit plane's per-event invariant checks
-    // live, so the report tracks what the always-on auditor costs the
-    // hot loop. The CI floor applies to the unaudited case only.
-    std::cerr << "running open_system_churn (audit on)...\n";
-    obs::AuditLog audit_log;
-    const CaseResult churn_audited = timeCase(minS, [&](EventQueue &eq) {
-        return neonbench::openSystemChurnAuditedBatch(eq, batchN,
-                                                      audit_log);
-    });
-    if (audit_log.checks() == 0 || audit_log.violations() != 0) {
-        std::cerr << "perf_report: audited churn checks="
-                  << audit_log.checks() << " violations="
-                  << audit_log.violations() << "\n";
-        return 2;
-    }
     std::cerr << "running end_to_end_dfq...\n";
     const EndToEnd e2e = endToEndDfq();
     std::cerr << "running end_to_end_serve...\n";
     const EndToEndServe serve = endToEndServe();
-    std::cerr << "running scale_sweep...\n";
-    const std::vector<ScalePoint> sweep = scaleSweep();
 
     std::ofstream os(out);
     if (!os) {
@@ -362,13 +242,7 @@ main(int argc, char **argv)
        << "  \"cases\": {\n";
     emitCase(os, "schedule_run", schedule_run);
     emitCase(os, "schedule_cancel_churn", churn);
-    emitCase(os, "fleet_interleave", fleet);
-    emitCase(os, "open_system_churn", churn_serve);
-    emitCase(os, "open_system_faulty", faulty);
-    emitCase(os, "open_system_shed", shed);
-    emitCase(os, "open_system_churn_traced", churn_traced);
-    emitCase(os, "open_system_churn_audited", churn_audited,
-             /*last=*/true);
+    emitCase(os, "fleet_interleave", fleet, /*last=*/true);
     os << "  },\n"
        << "  \"end_to_end_dfq\": {\n"
        << "    \"sim_ms\": " << e2e.simMs << ",\n"
@@ -389,23 +263,6 @@ main(int argc, char **argv)
        << "    \"migrations\": " << serve.migrations << ",\n"
        << "    \"events_executed\": " << serve.events << "\n"
        << "  },\n"
-       << "  \"scale_sweep\": [\n";
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-        const ScalePoint &p = sweep[i];
-        os << "    {\n"
-           << "      \"shards\": " << p.shards << ",\n"
-           << "      \"threads\": " << p.threads << ",\n"
-           << "      \"wall_s\": " << p.wallS << ",\n"
-           << "      \"setup_s\": " << p.setupS << ",\n"
-           << "      \"thread_spawn_s\": " << p.spawnS << ",\n"
-           << "      \"events_executed\": " << p.events << ",\n"
-           << "      \"windows\": " << p.windows << ",\n"
-           << "      \"mailbox_messages\": " << p.mailboxMsgs << ",\n"
-           << "      \"events_per_sec\": " << p.eventsPerSec << ",\n"
-           << "      \"speedup_vs_1_shard\": " << p.speedup << "\n"
-           << "    }" << (i + 1 < sweep.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n"
        << "  \"floor_events_per_sec\": " << floor_eps << "\n"
        << "}\n";
     os.close();
@@ -416,51 +273,18 @@ main(int argc, char **argv)
               << " ops/s (" << churn.compactions << " compactions)\n"
               << "fleet_interleave:      " << fleet.itemsPerSec
               << " events/s\n"
-              << "open_system_churn:     " << churn_serve.itemsPerSec
-              << " events/s\n"
-              << "open_system_faulty:    " << faulty.itemsPerSec
-              << " events/s\n"
-              << "open_system_shed:      " << shed.itemsPerSec
-              << " events/s\n"
-              << "  ... tracing on:      " << churn_traced.itemsPerSec
-              << " events/s (" << trace_ring.dropped() << " dropped)\n"
-              << "  ... audit on:        " << churn_audited.itemsPerSec
-              << " events/s (" << audit_log.checks() << " checks)\n"
               << "end_to_end_dfq:        " << e2e.simMsPerWallS
               << " sim-ms/wall-s\n"
               << "end_to_end_serve:      " << serve.simMsPerWallS
               << " sim-ms/wall-s (" << serve.sessions << " sessions, "
               << serve.migrations << " migrations)\n";
-    for (const ScalePoint &p : sweep)
-        std::cout << "scale_sweep shards=" << p.shards << " threads="
-                  << p.threads << ": " << p.eventsPerSec << " events/s ("
-                  << p.speedup << "x vs 1 shard, setup " << p.setupS
-                  << " s)\n";
     std::cout << "wrote " << out << "\n";
 
-    // The floor guards the raw event core and the serving-layer event
-    // shape alike: both are pure EventQueue workloads, so an
-    // order-of-magnitude regression in either fails the build.
+    // The floor guards the raw event core: an order-of-magnitude
+    // regression fails the build.
     if (floor_eps > 0.0 && schedule_run.itemsPerSec < floor_eps) {
         std::cerr << "perf_report: schedule_run "
                   << schedule_run.itemsPerSec
-                  << " events/s is below the floor of " << floor_eps
-                  << "\n";
-        return 1;
-    }
-    if (floor_eps > 0.0 && churn_serve.itemsPerSec < floor_eps) {
-        std::cerr << "perf_report: open_system_churn "
-                  << churn_serve.itemsPerSec
-                  << " events/s is below the floor of " << floor_eps
-                  << "\n";
-        return 1;
-    }
-    // The control-plane front door (token bucket + shed prediction on
-    // every arrival) rides under the same floor: admission control
-    // must stay a per-arrival constant, not an event-core regression.
-    if (floor_eps > 0.0 && shed.itemsPerSec < floor_eps) {
-        std::cerr << "perf_report: open_system_shed "
-                  << shed.itemsPerSec
                   << " events/s is below the floor of " << floor_eps
                   << "\n";
         return 1;

@@ -10,12 +10,8 @@
 #define NEON_BENCH_SIMCORE_CASES_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "obs/audit.hh"
-#include "serve/rate_limit.hh"
 #include "sim/event_queue.hh"
-#include "sim/random.hh"
 
 namespace neonbench
 {
@@ -82,393 +78,6 @@ fleetInterleaveBatch(neon::EventQueue &eq, int fires_per_stream)
         ss[i] = {&eq, neon::Tick(7 + i), fires_per_stream};
         ss[i].arm();
     }
-    return eq.drain();
-}
-
-/**
- * The serving-layer shape (PR 4): an open system where sessions
- * arrive with random gaps, hold one of a fixed pool of admission
- * slots for a random service time, queue when the pool is full, and
- * release the slot to the queue head on departure. Two events per
- * session (arrival, departure) plus queue churn — the event-core
- * footprint of src/serve without the device model. Returns the
- * number of events executed.
- */
-inline std::uint64_t
-openSystemChurnBatch(neon::EventQueue &eq, int sessions)
-{
-    struct System
-    {
-        neon::EventQueue *eq = nullptr;
-        neon::Rng rng{0x5eedull};
-        int slots = 8;
-        int live = 0;
-        int remaining = 0;
-        std::uint64_t served = 0;
-        std::vector<int> queue;
-
-        void
-        scheduleArrival()
-        {
-            if (remaining-- <= 0)
-                return;
-            // Mean gap ~350 vs mean service ~1300 over 8 slots:
-            // ~0.6 utilization, transient queueing bursts.
-            const neon::Tick gap =
-                static_cast<neon::Tick>(rng.next() % 700);
-            eq->scheduleIn(gap, [this] {
-                arrive();
-                scheduleArrival();
-            });
-        }
-
-        void
-        arrive()
-        {
-            if (live < slots && queue.empty())
-                admit();
-            else
-                queue.push_back(1);
-        }
-
-        void
-        admit()
-        {
-            ++live;
-            const neon::Tick service =
-                800 + static_cast<neon::Tick>(rng.next() % 1024);
-            eq->scheduleIn(service, [this] { depart(); });
-        }
-
-        void
-        depart()
-        {
-            --live;
-            ++served;
-            if (!queue.empty() && live < slots) {
-                queue.erase(queue.begin());
-                admit();
-            }
-        }
-    };
-
-    System sys;
-    sys.eq = &eq;
-    sys.remaining = sessions;
-    sys.scheduleArrival();
-    return eq.drain();
-}
-
-/**
- * The churn shape with the audit plane's hot path on every event:
- * the same open system as openSystemChurnBatch, but every arrival and
- * departure also evaluates the runtime invariants through
- * AuditLog::check — session conservation (arrivals == live + queued +
- * served), the slot-pool bound, and served-count monotonicity. The
- * delta against open_system_churn is the cost the always-on auditor
- * adds to an event-loop-bound run. Returns the number of events
- * executed.
- */
-inline std::uint64_t
-openSystemChurnAuditedBatch(neon::EventQueue &eq, int sessions,
-                            neon::obs::AuditLog &audit)
-{
-    struct System
-    {
-        neon::EventQueue *eq = nullptr;
-        neon::obs::AuditLog *audit = nullptr;
-        neon::Rng rng{0x5eedull};
-        int slots = 8;
-        int live = 0;
-        int remaining = 0;
-        std::uint64_t arrived = 0;
-        std::uint64_t served = 0;
-        std::uint64_t servedPrev = 0;
-        std::vector<int> queue;
-
-        void
-        scheduleArrival()
-        {
-            if (remaining-- <= 0)
-                return;
-            const neon::Tick gap =
-                static_cast<neon::Tick>(rng.next() % 700);
-            eq->scheduleIn(gap, [this] {
-                arrive();
-                scheduleArrival();
-            });
-        }
-
-        void
-        checkInvariants()
-        {
-            const std::uint64_t in_system =
-                static_cast<std::uint64_t>(live) + queue.size() + served;
-            audit->check(arrived == in_system, "churn.conservation",
-                         eq->now(),
-                         static_cast<std::int64_t>(arrived),
-                         static_cast<std::int64_t>(in_system));
-            audit->check(live <= slots, "churn.slot_bound", eq->now(),
-                         slots, live);
-            audit->check(served >= servedPrev, "churn.served_monotone",
-                         eq->now(),
-                         static_cast<std::int64_t>(servedPrev),
-                         static_cast<std::int64_t>(served));
-            servedPrev = served;
-        }
-
-        void
-        arrive()
-        {
-            ++arrived;
-            if (live < slots && queue.empty())
-                admit();
-            else
-                queue.push_back(1);
-            checkInvariants();
-        }
-
-        void
-        admit()
-        {
-            ++live;
-            const neon::Tick service =
-                800 + static_cast<neon::Tick>(rng.next() % 1024);
-            eq->scheduleIn(service, [this] { depart(); });
-        }
-
-        void
-        depart()
-        {
-            --live;
-            ++served;
-            if (!queue.empty() && live < slots) {
-                queue.erase(queue.begin());
-                admit();
-            }
-            checkInvariants();
-        }
-    };
-
-    System sys;
-    sys.eq = &eq;
-    sys.audit = &audit;
-    sys.remaining = sessions;
-    sys.scheduleArrival();
-    return eq.drain();
-}
-
-/**
- * The fault-tolerant serving shape (src/fault + serve retry): open-
- * system churn over grouped slot pools ("devices") with a periodic
- * fault cycle. A fault takes one group down, bumps its generation —
- * invalidating the in-flight departures of its residents, which
- * re-enter placement through capped exponential backoff — and a later
- * event repairs it. The event-core footprint of a faulty serving run:
- * arrivals, departures, eviction re-queues, backoff timers, and
- * down/up transitions on one timeline. Returns the number of events
- * executed.
- */
-inline std::uint64_t
-openSystemFaultyBatch(neon::EventQueue &eq, int sessions)
-{
-    struct System
-    {
-        enum { groups = 4, groupSlots = 2 }; // local classes: no statics
-
-        neon::EventQueue *eq = nullptr;
-        neon::Rng rng{0xfa017ull};
-        int live[groups] = {};
-        int gen[groups] = {};
-        bool up[groups] = {};
-        int remaining = 0;
-        int faultsLeft = 0;
-        int nextVictim = 0;
-        std::uint64_t served = 0;
-        std::uint64_t interrupted = 0;
-
-        void
-        scheduleArrival()
-        {
-            if (remaining-- <= 0)
-                return;
-            const neon::Tick gap =
-                static_cast<neon::Tick>(rng.next() % 700);
-            eq->scheduleIn(gap, [this] {
-                place(0);
-                scheduleArrival();
-            });
-        }
-
-        void
-        place(int retries)
-        {
-            // Least-loaded up group, like the fleet's placement skipping
-            // down devices.
-            int g = -1;
-            for (int i = 0; i < groups; ++i) {
-                if (up[i] && live[i] < groupSlots &&
-                    (g < 0 || live[i] < live[g]))
-                    g = i;
-            }
-            if (g < 0) {
-                const int shift = retries < 6 ? retries : 6;
-                const neon::Tick backoff = neon::Tick(100) << shift;
-                const int next = retries + 1;
-                eq->scheduleIn(backoff, [this, next] { place(next); });
-                return;
-            }
-            ++live[g];
-            const int mygen = gen[g];
-            const neon::Tick service =
-                800 + static_cast<neon::Tick>(rng.next() % 1024);
-            eq->scheduleIn(service,
-                           [this, g, mygen] { depart(g, mygen); });
-        }
-
-        void
-        depart(int g, int mygen)
-        {
-            if (mygen != gen[g])
-                return; // lost to a fault; the retry path re-placed it
-            --live[g];
-            ++served;
-        }
-
-        void
-        scheduleFault()
-        {
-            if (faultsLeft-- <= 0)
-                return;
-            eq->scheduleIn(1500, [this] {
-                const int g = nextVictim;
-                nextVictim = (nextVictim + 1) % groups;
-                up[g] = false;
-                ++gen[g];
-                const int victims = live[g];
-                live[g] = 0;
-                interrupted += static_cast<std::uint64_t>(victims);
-                for (int v = 0; v < victims; ++v)
-                    eq->scheduleIn(100, [this] { place(1); });
-                eq->scheduleIn(900, [this, g] { up[g] = true; });
-                scheduleFault();
-            });
-        }
-    };
-
-    System sys;
-    sys.eq = &eq;
-    for (int i = 0; i < System::groups; ++i)
-        sys.up[i] = true;
-    sys.remaining = sessions;
-    sys.faultsLeft = sessions / 8;
-    sys.scheduleArrival();
-    sys.scheduleFault();
-    return eq.drain();
-}
-
-/**
- * The control-plane front-door shape (PR 10): open-system churn with
- * admission control ahead of the slot pool. Every arrival first
- * charges the serving layer's real TokenBucket (throttled arrivals
- * terminate at the front door), and one that would queue compares its
- * fluid-model delay prediction — queued work ahead over the pool's
- * drain rate, the SloAdmission estimate — against a fixed queue-delay
- * budget and is shed past it. The delta against open_system_churn is
- * the per-arrival cost of the admission control plane in an
- * event-loop-bound run. Returns the number of events executed.
- */
-inline std::uint64_t
-openSystemShedBatch(neon::EventQueue &eq, int sessions)
-{
-    struct System
-    {
-        // Local classes can't have static data members; enum constants
-        // carry the model parameters instead.
-        enum
-        {
-            slots = 8,
-            meanService = 1311, ///< 800 + 1023/2, the service-law mean
-            budget = 400        ///< queue-delay budget, ticks
-        };
-
-        neon::EventQueue *eq = nullptr;
-        // A 150-tick token period passes sustained arrivals slightly
-        // faster than the pool drains (one per ~164 ticks), and the
-        // 12-token burst is wider than the slot pool — so the steady
-        // state exercises all three outcomes: throttle at the bucket,
-        // shed at the predictor, admit into the pool.
-        neon::TokenBucket bucket{neon::TokenBucketConfig{1e9 / 150.0, 12.0}};
-        neon::Rng rng{0x5ed0ull};
-        int live = 0;
-        int remaining = 0;
-        std::uint64_t served = 0;
-        std::uint64_t throttled = 0;
-        std::uint64_t shed = 0;
-        std::vector<int> queue;
-
-        void
-        scheduleArrival()
-        {
-            if (remaining-- <= 0)
-                return;
-            // Mean gap ~100 against the 150-tick token period: the
-            // bucket throttles a steady third, and what passes still
-            // overruns the pool so the shed predictor trims the queue.
-            const neon::Tick gap =
-                static_cast<neon::Tick>(rng.next() % 200);
-            eq->scheduleIn(gap, [this] {
-                arrive();
-                scheduleArrival();
-            });
-        }
-
-        void
-        arrive()
-        {
-            if (!bucket.tryAcquire(eq->now())) {
-                ++throttled;
-                return;
-            }
-            if (live < slots && queue.empty()) {
-                admit();
-                return;
-            }
-            const neon::Tick predicted =
-                static_cast<neon::Tick>(queue.size() + 1) *
-                neon::Tick(meanService) / neon::Tick(slots);
-            if (predicted > neon::Tick(budget)) {
-                ++shed;
-                return;
-            }
-            queue.push_back(1);
-        }
-
-        void
-        admit()
-        {
-            ++live;
-            const neon::Tick service =
-                800 + static_cast<neon::Tick>(rng.next() % 1024);
-            eq->scheduleIn(service, [this] { depart(); });
-        }
-
-        void
-        depart()
-        {
-            --live;
-            ++served;
-            if (!queue.empty() && live < slots) {
-                queue.erase(queue.begin());
-                admit();
-            }
-        }
-    };
-
-    System sys;
-    sys.eq = &eq;
-    sys.remaining = sessions;
-    sys.scheduleArrival();
     return eq.drain();
 }
 

@@ -8,12 +8,6 @@
  * matching repair; stalls and hangs go straight to the device. Victim
  * channels for hang injection are drawn from the "fault.pick" stream,
  * isolated from both the plan stream and all workload streams.
- *
- * Sharded runs: the injector lives on the control queue, so every
- * fault lands at a window barrier with the shard workers parked —
- * forcing a device down, poking a channel hang, or repairing touches
- * the victim's shard-local state race-free, and the fault plan stays
- * deterministic regardless of shard or thread counts.
  */
 
 #ifndef NEON_FAULT_INJECTOR_HH

@@ -2,11 +2,8 @@
  * @file
  * One device's full stack inside a fleet: ground-truth meter, device
  * model, kernel module, and the per-device scheduling policy. Stacks
- * share their device group's event queue — the fleet's single queue
- * in the serial core, the group's shard queue under ShardedEngine —
- * but are otherwise fully independent: exactly N copies of the
- * single-device world the paper evaluates, which is what makes the
- * conservative-window parallelization sound.
+ * share the fleet's event queue but are otherwise fully independent:
+ * exactly N copies of the single-device world the paper evaluates.
  */
 
 #ifndef NEON_FLEET_DEVICE_STACK_HH

@@ -4,7 +4,6 @@
 
 #include "obs/trace.hh"
 #include "sim/logging.hh"
-#include "sim/sharded_engine.hh"
 
 namespace neon
 {
@@ -16,36 +15,6 @@ FleetManager::FleetManager(EventQueue &eq, const FleetConfig &cfg,
                            Tick poll_period,
                            const SchedulerFactory &make_scheduler)
     : policy(makePlacementPolicy(cfg))
-{
-    buildStacks(cfg, device_template, costs, channel_policy, poll_period,
-                make_scheduler,
-                [&eq](std::size_t) -> EventQueue & { return eq; });
-}
-
-FleetManager::FleetManager(ShardedEngine &shards, const FleetConfig &cfg,
-                           const DeviceConfig &device_template,
-                           const CostModel &costs,
-                           const ChannelPolicy &channel_policy,
-                           Tick poll_period,
-                           const SchedulerFactory &make_scheduler)
-    : policy(makePlacementPolicy(cfg))
-{
-    buildStacks(cfg, device_template, costs, channel_policy, poll_period,
-                make_scheduler,
-                [&shards](std::size_t i) -> EventQueue & {
-                    return shards.queueOfDevice(i);
-                });
-}
-
-void
-FleetManager::buildStacks(const FleetConfig &cfg,
-                          const DeviceConfig &device_template,
-                          const CostModel &costs,
-                          const ChannelPolicy &channel_policy,
-                          Tick poll_period,
-                          const SchedulerFactory &make_scheduler,
-                          const std::function<EventQueue &(std::size_t)>
-                              &queue_of)
 {
     if (cfg.devices == 0)
         panic("fleet: device count must be at least 1");
@@ -59,7 +28,7 @@ FleetManager::buildStacks(const FleetConfig &cfg,
         dcfg.speedFactor =
             cfg.speedFactorOf(i, device_template.speedFactor);
         auto stack = std::make_unique<DeviceStack>(
-            queue_of(i), i, dcfg, costs, channel_policy, poll_period);
+            eq, i, dcfg, costs, channel_policy, poll_period);
         stack->setScheduler(
             make_scheduler(stack->kernel, stack->meter, i));
         stacks.push_back(std::move(stack));
@@ -93,10 +62,7 @@ FleetManager::emplaceTask(std::size_t device, const PlacementRequest &req)
 
     // Protection kills happen inside the per-device scheduler; surface
     // them to fleet-level observers (admission control) and keep the
-    // placement policy's live-task bookkeeping honest. In a sharded
-    // run the kill fires on the device's shard thread, so the shared-
-    // state half is deferred to the window barrier via the mailbox
-    // (the trace record still lands shard-side at the kill's time).
+    // placement policy's live-task bookkeeping honest.
     ref.onKilled = [this](Process &p) {
         Task &t = static_cast<Task &>(p);
         NEON_TRACE(obs::TraceCategory::Fleet, obs::TraceKind::Instant,
@@ -105,12 +71,7 @@ FleetManager::emplaceTask(std::size_t device, const PlacementRequest &req)
                        static_cast<std::int16_t>(placedOf(t).device),
                        t.pid(), -1},
                    0, 0);
-        if (ShardedEngine::inShardPhase()) {
-            ShardedEngine::postFromShard(
-                [this, task = &t] { handleTaskKilled(*task); });
-        } else {
-            handleTaskKilled(t);
-        }
+        handleTaskKilled(t);
     };
     return ref;
 }
@@ -293,19 +254,11 @@ FleetManager::enableWatchdog(const WatchdogConfig &cfg)
     for (std::size_t i = 0; i < stacks.size(); ++i) {
         auto w = std::make_unique<Watchdog>(
             stacks[i]->kernel.eventQueue(), stacks[i]->kernel, cfg, i);
-        // The watchdog fires on its device's shard; fleet-level
-        // observers (the serve layer) only see the verdict at the
-        // window barrier. The device-side kill itself already went
-        // through Process::onKilled above.
+        // The device-side kill itself already went through
+        // Process::onKilled above; this forwards the verdict.
         w->onKill = [this](const WatchdogKill &k) {
-            if (!onWatchdogKill)
-                return;
-            if (ShardedEngine::inShardPhase()) {
-                ShardedEngine::postFromShard(
-                    [this, k] { onWatchdogKill(k); });
-            } else {
+            if (onWatchdogKill)
                 onWatchdogKill(k);
-            }
         };
         watchdogs.push_back(std::move(w));
     }

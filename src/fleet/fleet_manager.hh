@@ -32,8 +32,6 @@
 namespace neon
 {
 
-class ShardedEngine;
-
 /**
  * Builds the per-device scheduling policy. The device's ground-truth
  * meter is passed so vendor-assisted modes (DfqConfig::Attribution::
@@ -58,24 +56,6 @@ class FleetManager
 {
   public:
     FleetManager(EventQueue &eq, const FleetConfig &cfg,
-                 const DeviceConfig &device_template,
-                 const CostModel &costs,
-                 const ChannelPolicy &channel_policy, Tick poll_period,
-                 const SchedulerFactory &make_scheduler);
-
-    /**
-     * Group-aware construction: each device stack is built on its
-     * shard's event queue (ShardedEngine::queueOfDevice), so the
-     * stacks of one group share a timeline and groups advance in
-     * parallel. With a serial engine (shardCount() == 1) this is
-     * exactly the single-queue constructor above. Cross-shard effects
-     * originating inside a shard phase (protection kills, watchdog
-     * verdicts) are deferred through the engine's mailboxes and land
-     * at the window barrier; everything the manager does from the
-     * coordinator (placement, retirement, migration, failover) runs
-     * with the workers parked and may touch any shard directly.
-     */
-    FleetManager(ShardedEngine &shards, const FleetConfig &cfg,
                  const DeviceConfig &device_template,
                  const CostModel &costs,
                  const ChannelPolicy &channel_policy, Tick poll_period,
@@ -221,25 +201,13 @@ class FleetManager
         bool live = true;
     };
 
-    void buildStacks(const FleetConfig &cfg,
-                     const DeviceConfig &device_template,
-                     const CostModel &costs,
-                     const ChannelPolicy &channel_policy,
-                     Tick poll_period,
-                     const SchedulerFactory &make_scheduler,
-                     const std::function<EventQueue &(std::size_t)> &queue_of);
-
     Task &emplaceTask(std::size_t device, const PlacementRequest &req);
     Placed &placedOf(const Task &t);
     const Placed &placedOf(const Task &t) const;
 
     /**
-     * Barrier half of the protection-kill path: release the slot and
-     * notify fleet-level observers. Runs directly when the kill fires
-     * on the coordinator (serial core, window barriers) and via the
-     * shard mailbox when it fires inside a parallel phase — placement
-     * tables and the serve layer are only ever mutated with the
-     * workers parked.
+     * Fleet half of the protection-kill path: release the slot and
+     * notify fleet-level observers.
      */
     void handleTaskKilled(Task &t);
 

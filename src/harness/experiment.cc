@@ -285,35 +285,17 @@ FleetRunResult::byLabel(const std::string &label) const
     panic("no task labelled ", label, " in fleet results");
 }
 
-Tick
-resolveShardWindow(const ExperimentConfig &cfg)
+void
+requireSerialCore(const ExperimentConfig &cfg)
 {
-    if (cfg.shards.window > 0)
-        return cfg.shards.window;
-    Tick w = cfg.pollPeriod > 0 ? cfg.pollPeriod : msec(1);
-    if (cfg.serve.clockPeriod > 0)
-        w = std::min(w, cfg.serve.clockPeriod);
-    return std::max<Tick>(w, usec(100));
+    if (cfg.shards.count > 1)
+        fatal("shards.count = ", cfg.shards.count,
+              ": the sharded simulation core was removed; use 0 or 1 "
+              "(the serial core)");
 }
-
-namespace
-{
-
-/** cfg.shards with the window grid resolved (parallel runs only). */
-ShardConfig
-resolvedShards(const ExperimentConfig &cfg)
-{
-    ShardConfig s = cfg.shards;
-    if (s.parallel())
-        s.window = resolveShardWindow(cfg);
-    return s;
-}
-
-} // namespace
 
 FleetWorld::FleetWorld(const ExperimentConfig &cfg)
-    : shardCore(resolvedShards(cfg), eq, cfg.fleet.devices),
-      fleet(shardCore, cfg.fleet, cfg.device, cfg.costs,
+    : fleet(eq, cfg.fleet, cfg.device, cfg.costs,
             cfg.channelPolicy, cfg.pollPeriod,
             [&cfg](KernelModule &kernel, const UsageMeter &meter,
                    std::size_t) {
@@ -321,6 +303,7 @@ FleetWorld::FleetWorld(const ExperimentConfig &cfg)
             }),
       cfg(cfg)
 {
+    requireSerialCore(cfg);
     if (cfg.collectTraces) {
         for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
             traces.push_back(std::make_unique<RequestTrace>());
@@ -330,7 +313,6 @@ FleetWorld::FleetWorld(const ExperimentConfig &cfg)
     if (cfg.observe.enabled()) {
         observer = std::make_unique<obs::Observer>(eq, cfg.observe);
         observer->attachFleet(fleet);
-        observer->attachShards(shardCore);
         observer->start();
     }
     if (cfg.fault.watchdog.enabled)

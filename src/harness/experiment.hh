@@ -28,7 +28,6 @@
 #include "sched/timeslice.hh"
 #include "serve/serve_config.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_engine.hh"
 #include "workload/app_profile.hh"
 #include "workload/arrival.hh"
 #include "workload/throttle.hh"
@@ -51,6 +50,16 @@ std::string schedKindName(SchedKind k);
 
 /** The four policies evaluated in the paper's figures. */
 extern const std::vector<SchedKind> paperSchedulers;
+
+/**
+ * Simulation-core shape (ExperimentConfig::shards). Only the serial
+ * core exists: 0 and 1 both mean one event queue, and FleetWorld and
+ * ServeWorld reject count > 1 at construction.
+ */
+struct ShardConfig
+{
+    unsigned count = 0;
+};
 
 /** Full experiment configuration. */
 struct ExperimentConfig
@@ -88,15 +97,7 @@ struct ExperimentConfig
      */
     FaultConfig fault;
 
-    /**
-     * Sharded parallel simulation core (FleetWorld/ServeWorld): the
-     * fleet is partitioned into `shards.count` device groups, each on
-     * its own event queue and worker thread, synchronized on a
-     * conservative window grid (resolveShardWindow). count <= 1 keeps
-     * the serial single-queue core, bit-identical to previous PRs;
-     * N-shard runs are deterministic across repeats and thread counts.
-     * The single-device World ignores this block.
-     */
+    /** Simulation-core shape; see ShardConfig. */
     ShardConfig shards;
 
     Tick warmup = msec(400);
@@ -258,15 +259,11 @@ makeScheduler(const ExperimentConfig &cfg, KernelModule &kernel,
 Co makeWorkloadBody(Task &t, const WorkloadSpec &spec, std::uint64_t seed);
 
 /**
- * The conservative synchronization window for @p cfg: the configured
- * cfg.shards.window when set, otherwise the tightest cross-shard
- * interaction cadence — min(poll period, serve global-clock period) —
- * floored at 100us. Shards never interact faster than the kernel's
- * engagement cadence and the serve layer's decision cadence, so a
- * window at that horizon delays cross-shard effects by at most one
- * decision interval.
+ * Reject a config that asks for the removed sharded core
+ * (cfg.shards.count > 1) with a fatal() naming the field. The
+ * FleetWorld and ServeWorld constructors call it.
  */
-Tick resolveShardWindow(const ExperimentConfig &cfg);
+void requireSerialCore(const ExperimentConfig &cfg);
 
 /** Per-task outcome of a fleet run. */
 struct FleetTaskResult
@@ -303,7 +300,7 @@ struct FleetRunResult
  * A multi-device simulation world: cfg.fleet.devices independent
  * device stacks, each running cfg.sched, with tasks routed to devices
  * by cfg.fleet.placement. The single-device World remains the
- * unsharded special case.
+ * one-device special case.
  */
 class FleetWorld
 {
@@ -320,7 +317,7 @@ class FleetWorld
     /** Start every device's kernel and all spawned tasks. */
     void start();
 
-    void runFor(Tick d) { shardCore.runFor(d); }
+    void runFor(Tick d) { eq.runFor(d); }
 
     /** Begin the measurement window: snapshot all statistics. */
     void beginMeasurement();
@@ -338,11 +335,10 @@ class FleetWorld
         return *traces[i];
     }
 
-    /** Events executed across the control queue and every shard. */
-    std::uint64_t eventsExecuted() const { return shardCore.totalExecuted(); }
+    /** Events executed so far. */
+    std::uint64_t eventsExecuted() const { return eq.executed(); }
 
-    EventQueue eq;           ///< coordinator/control queue
-    ShardedEngine shardCore; ///< window-sync driver (serial when <=1 shard)
+    EventQueue eq;
     FleetManager fleet;
 
     /** Tracing/metrics bundle (cfg.observe.enabled() only, else null). */

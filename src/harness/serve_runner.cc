@@ -61,25 +61,9 @@ ServeRunResult::byLabel(const std::string &label) const
     panic("no session labelled ", label, " in serve results");
 }
 
-namespace
-{
-
-/** cfg.shards with the window grid resolved (parallel runs only). */
-ShardConfig
-resolvedShards(const ExperimentConfig &cfg)
-{
-    ShardConfig s = cfg.shards;
-    if (s.parallel())
-        s.window = resolveShardWindow(cfg);
-    return s;
-}
-
-} // namespace
-
 ServeWorld::ServeWorld(const ExperimentConfig &cfg,
                        const std::vector<ServeWorkloadSpec> &specs)
-    : shardCore(resolvedShards(cfg), eq, cfg.fleet.devices),
-      fleet(shardCore, cfg.fleet, cfg.device, cfg.costs,
+    : fleet(eq, cfg.fleet, cfg.device, cfg.costs,
             cfg.channelPolicy, cfg.pollPeriod,
             [&cfg](KernelModule &kernel, const UsageMeter &meter,
                    std::size_t) {
@@ -89,11 +73,11 @@ ServeWorld::ServeWorld(const ExperimentConfig &cfg,
              resolveSlotsPerDevice(cfg), cfg.seed),
       cfg(cfg)
 {
+    requireSerialCore(cfg);
     if (cfg.observe.enabled()) {
         observer = std::make_unique<obs::Observer>(eq, cfg.observe);
         observer->attachFleet(fleet);
         observer->attachServe(engine);
-        observer->attachShards(shardCore);
         observer->start();
     }
     if (cfg.observe.analyze.enabled()) {

@@ -174,17 +174,15 @@ class ServeWorld
     /** Start fleet kernels, arrivals, and the global clock. */
     void start();
 
-    void runFor(Tick d) { shardCore.runFor(d); }
+    void runFor(Tick d) { eq.runFor(d); }
 
     /** Harvest the whole run (slowdown SLO left to ServeRunner). */
     ServeRunResult results();
 
-    /** Events executed across the control queue and every shard. */
-    std::uint64_t eventsExecuted() const { return shardCore.totalExecuted(); }
+    /** Events executed so far. */
+    std::uint64_t eventsExecuted() const { return eq.executed(); }
 
-    EventQueue eq;           ///< control queue: arrivals, admission,
-                             ///< global clock, fault plan
-    ShardedEngine shardCore; ///< window-sync driver (serial when <=1 shard)
+    EventQueue eq;
     FleetManager fleet;
     ServeEngine engine;
 

@@ -58,8 +58,6 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "sim/shard_mailbox.hh"
-#include "sim/sharded_engine.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "workload/adversary.hh"

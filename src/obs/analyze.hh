@@ -210,9 +210,7 @@ struct WindowStats
 /**
  * The in-process analysis bundle for one serving run: listens to the
  * engine's SessionEvents (registered at construction, before start()),
- * closes timeline windows on the control queue's virtual-time grid —
- * in sharded runs these run at window barriers with workers parked,
- * so reading fleet/engine state is safe and deterministic — and
+ * closes timeline windows on the event queue's virtual-time grid, and
  * writes the configured series outputs.
  */
 class Analyzer

@@ -119,8 +119,7 @@ class AuditLog
  * checks every cfg.period of virtual time, monotonicity watches (a
  * probed value must never decrease between observations), and final
  * checks run once at finalize(). All checks are read-only observers of
- * simulation state; in sharded runs the periodic event executes on the
- * control queue at window barriers, where reading shard state is safe.
+ * simulation state.
  */
 class Auditor
 {

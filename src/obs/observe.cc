@@ -9,7 +9,6 @@
 #include "sched/vtime_tap.hh"
 #include "serve/serve_engine.hh"
 #include "sim/logging.hh"
-#include "sim/sharded_engine.hh"
 
 namespace neon
 {
@@ -24,11 +23,6 @@ Observer::Observer(EventQueue &q, const ObserveConfig &c)
 
 Observer::~Observer()
 {
-    // Detach the shard rings before they are destroyed; the engine
-    // outlives the Observer (world member order) but must not point
-    // workers at freed memory.
-    if (shardEngine)
-        shardEngine->clearShardTraceSinks();
     // Another Observer may have taken over the sink (nested worlds in
     // slowdown-baseline runs); only deactivate if it is still ours.
     if (traceSink() == &ring)
@@ -90,20 +84,6 @@ Observer::attachServe(ServeEngine &engine)
 }
 
 void
-Observer::attachShards(ShardedEngine &engine)
-{
-    if (!engine.parallel())
-        return;
-    shardEngine = &engine;
-    shardRings.reserve(engine.shardCount());
-    for (std::size_t s = 0; s < engine.shardCount(); ++s) {
-        shardRings.push_back(
-            std::make_unique<TraceRecorder>(cfg.bufferCapacity));
-        engine.setShardTraceSink(s, shardRings.back().get());
-    }
-}
-
-void
 Observer::start()
 {
     if (cfg.samplePeriod > 0)
@@ -113,28 +93,13 @@ Observer::start()
 std::vector<TraceRecord>
 Observer::mergedRecords() const
 {
-    std::vector<TraceRecord> all = ring.snapshot();
-    for (const auto &r : shardRings) {
-        const std::vector<TraceRecord> s = r->snapshot();
-        all.insert(all.end(), s.begin(), s.end());
-    }
-    // Stable by virtual time: ties keep ring order (main ring first,
-    // then shards in index order), so the merged timeline is as
-    // deterministic as the run that produced it.
-    std::stable_sort(all.begin(), all.end(),
-                     [](const TraceRecord &a, const TraceRecord &b) {
-                         return a.when < b.when;
-                     });
-    return all;
+    return ring.snapshot();
 }
 
 std::uint64_t
 Observer::droppedRecords() const
 {
-    std::uint64_t dropped = ring.dropped();
-    for (const auto &r : shardRings)
-        dropped += r->dropped();
-    return dropped;
+    return ring.dropped();
 }
 
 namespace
@@ -161,10 +126,7 @@ Observer::writeOutputs()
         std::ofstream os(cfg.tracePath);
         if (!os)
             fatal("cannot open trace output '", cfg.tracePath, "'");
-        if (shardRings.empty())
-            writeChromeTrace(os, ring);
-        else
-            writeChromeTrace(os, buildChromeEvents(mergedRecords()));
+        writeChromeTrace(os, ring);
     }
     if (!cfg.countersCsvPath.empty()) {
         std::ofstream os(cfg.countersCsvPath);
@@ -177,7 +139,7 @@ Observer::writeOutputs()
         if (!os)
             fatal("cannot open records output '", cfg.recordsJsonlPath,
                   "'");
-        for (const TraceRecord &r : mergedRecords())
+        for (const TraceRecord &r : ring.snapshot())
             printRecordJson(os, r);
     }
 }
@@ -185,19 +147,9 @@ Observer::writeOutputs()
 std::string
 Observer::summary() const
 {
-    std::uint64_t written = ring.written();
-    std::uint64_t dropped = ring.dropped();
-    std::size_t retained = ring.size();
-    for (const auto &r : shardRings) {
-        written += r->written();
-        dropped += r->dropped();
-        retained += r->size();
-    }
     std::ostringstream os;
-    os << written << " trace records captured, " << retained
-       << " retained, " << dropped << " dropped";
-    if (!shardRings.empty())
-        os << " (across " << shardRings.size() + 1 << " rings)";
+    os << ring.written() << " trace records captured, " << ring.size()
+       << " retained, " << ring.dropped() << " dropped";
     if (!registry.series().empty()) {
         std::size_t samples = 0;
         for (const auto &s : registry.series())

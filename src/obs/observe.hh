@@ -15,7 +15,6 @@
 #define NEON_OBS_OBSERVE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,7 +28,6 @@ namespace neon
 
 class FleetManager;
 class ServeEngine;
-class ShardedEngine;
 
 namespace obs
 {
@@ -54,7 +52,7 @@ struct ObserveConfig
 
     /**
      * Raw trace records as JSON-lines output path (empty = don't
-     * write). One object per retained record, in merged virtual-time
+     * write). One object per retained record, in virtual-time
      * order — the input format of bench_trace_analyze.
      */
     std::string recordsJsonlPath;
@@ -105,14 +103,6 @@ class Observer
      */
     void attachServe(ServeEngine &engine);
 
-    /**
-     * Give every shard of a parallel run its own trace ring (same
-     * capacity as the main ring), so shard workers record lock-free;
-     * writeOutputs() merges all rings by virtual time. No-op for a
-     * serial engine.
-     */
-    void attachShards(ShardedEngine &engine);
-
     /** Begin the sampling cadence (no-op when samplePeriod == 0). */
     void start();
 
@@ -122,10 +112,10 @@ class Observer
     /** One-line capture summary ("N records, M dropped, ..."). */
     std::string summary() const;
 
-    /** Ring-wrap drops across all rings (0 = the capture is exact). */
+    /** Ring-wrap drops (0 = the capture is exact). */
     std::uint64_t droppedRecords() const;
 
-    /** All rings (main + shards) merged into virtual-time order. */
+    /** The ring's retained records, oldest first (virtual-time order). */
     std::vector<TraceRecord> mergedRecords() const;
 
   private:
@@ -133,10 +123,6 @@ class Observer
     ObserveConfig cfg;
     TraceRecorder ring;
     MetricsRegistry registry;
-
-    /** Per-shard rings (attachShards; parallel runs only). */
-    std::vector<std::unique_ptr<TraceRecorder>> shardRings;
-    ShardedEngine *shardEngine = nullptr;
 };
 
 } // namespace obs

@@ -64,8 +64,8 @@ namespace
  * Process-global intern table. Lives independently of any recorder so
  * ids handed out to function-local statics in trace points stay valid
  * across recorder swaps and ring wraps. Mutex-guarded: interning is a
- * cold once-per-trace-point path, but in a sharded run that first hit
- * can happen on several worker threads at once.
+ * cold once-per-trace-point path, and worlds driven from different
+ * threads may hit it at once.
  */
 struct InternTable
 {
@@ -140,9 +140,8 @@ TraceRecorder::snapshot() const
 namespace
 {
 
-// Thread-local: each shard worker points its sink at the shard's own
-// ring for the duration of a parallel phase, so the hot enabled path
-// stays lock-free — one writer per ring, merged at export time.
+// Thread-local: one writer per ring, so the hot enabled path stays
+// lock-free.
 thread_local TraceRecorder *sinkRecorder = nullptr;
 thread_local const EventQueue *sinkClock = nullptr;
 
@@ -182,13 +181,6 @@ setTraceSink(TraceRecorder *r, std::uint32_t mask, const EventQueue *clock)
     sinkRecorder = r;
     sinkClock = r ? clock : nullptr;
     detail::activeMask = r ? mask : 0;
-}
-
-void
-installThreadTraceSink(TraceRecorder *r, const EventQueue *clock)
-{
-    sinkRecorder = r;
-    sinkClock = r ? clock : nullptr;
 }
 
 TraceRecorder *

@@ -118,8 +118,8 @@ static_assert(sizeof(TraceRecord) == 40, "trace records must stay POD-lean");
 /**
  * Intern a trace-point name. The id is stable for the process lifetime
  * and survives any number of ring wraps; re-interning the same string
- * returns the same id. Thread-safe: shard workers hit first-use
- * interning concurrently (each trace point's function-local static).
+ * returns the same id. Thread-safe, so worlds driven from different
+ * threads may hit first-use interning at once.
  */
 std::uint16_t internTraceName(const char *name);
 
@@ -201,22 +201,11 @@ void emitTrace(TraceCategory cat, std::uint16_t name, TraceKind kind,
  * supplies virtual timestamps; without one, records are stamped 0.
  *
  * The category mask is process-global (it is the one branch every
- * disabled trace point pays), while the sink itself is thread-local:
- * in a sharded run the coordinator's records land in the Observer's
- * main ring and each worker redirects to the shard ring of whichever
- * shard it is currently driving (installThreadTraceSink). Only the
- * coordinator — with workers parked at a window barrier — may call
- * setTraceSink, so the mask write is ordered by the barrier handoff.
+ * disabled trace point pays), while the sink itself is thread-local,
+ * so a world driven from another thread never writes into this ring.
  */
 void setTraceSink(TraceRecorder *r, std::uint32_t mask,
                   const EventQueue *clock = nullptr);
-
-/**
- * Point the calling thread's sink at @p r clocked by @p clock without
- * touching the global category mask. Workers bracket each shard's
- * parallel phase with this; null detaches.
- */
-void installThreadTraceSink(TraceRecorder *r, const EventQueue *clock);
 
 /** The calling thread's installed sink, if any. */
 TraceRecorder *traceSink();

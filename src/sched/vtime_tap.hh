@@ -13,11 +13,6 @@
  * already maintains (the paper's point is that the OS has no ground
  * truth), and consumers must not feed device-meter data back through
  * it.
- *
- * Sharded runs: taps are read only from the coordinator — the global
- * clock's tick is a control-queue event, executed at a window barrier
- * with every shard worker parked — so the snapshot is a consistent
- * fleet-wide view at the barrier time and never races shard execution.
  */
 
 #ifndef NEON_SCHED_VTIME_TAP_HH

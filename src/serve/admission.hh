@@ -114,7 +114,7 @@ class AdmissionController
      * Total deterministic release order: QoS rank, then the policy key
      * (demand / tenant live count; none for FIFO), then deadline, then
      * session id. Never falls back to queue position, so the pick is
-     * independent of incidental container order (sharding-safe), yet
+     * independent of incidental container order, yet
      * reduces exactly to the old first-strict-min scan when QoS is off
      * because session ids are monotone in enqueue order.
      */

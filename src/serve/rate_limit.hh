@@ -6,8 +6,7 @@
  * credit, with period = 1e9 / ratePerSec), refill 1:1 with virtual
  * time, and are full at creation. All arithmetic past the one-time
  * rounding of period and capacity is exact integer math on the virtual
- * clock, so decisions are bit-identical across repeats and shard
- * counts. The limiter is pure bookkeeping like the AdmissionController:
+ * clock, so decisions are bit-identical across repeats. The limiter is pure bookkeeping like the AdmissionController:
  * it never touches the fleet or the event queue.
  */
 

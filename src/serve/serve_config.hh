@@ -73,7 +73,7 @@ qosPriorityOf(QosClass c)
  * template; a session arriving with an empty bucket is *throttled* — a
  * distinct terminal outcome, counted and recorded, never silently
  * dropped. Refill is computed in integer ticks on the virtual clock,
- * so runs are bit-identical across repeats and shard counts.
+ * so runs are bit-identical across repeats.
  */
 struct TokenBucketConfig
 {
@@ -213,14 +213,7 @@ struct ServeConfig
      */
     bool useGlobalClock = false;
 
-    /**
-     * Global-clock sampling/steering period. Also one of the two
-     * cadences (with the kernel poll period) that bound the sharded
-     * core's conservative synchronization window: the serve layer
-     * never reacts to cross-device state faster than this, so shards
-     * can run that far ahead without observable reordering
-     * (resolveShardWindow).
-     */
+    /** Global-clock sampling/steering period. */
     Tick clockPeriod = msec(20);
 
     /**

@@ -15,16 +15,6 @@
  * device's kernel) and restarts the workload body, while the session
  * accumulates usage, rounds, and per-device history across all of
  * them — so departed and migrated work stays fully accounted.
- *
- * Sharded runs: the whole engine lives on the coordinator's control
- * queue. Arrivals, admission, global-clock ticks, migration, and
- * departures execute at their exact timestamps during the window
- * barrier (shard workers parked), and anything they schedule into a
- * device's shard — a new incarnation's first doorbell — lands at the
- * next window open. Kill notifications travel the other way through
- * the shard mailboxes (FleetManager::handleTaskKilled), so the engine
- * never observes a shard mid-flight and N-shard serving runs stay
- * bit-identical across repeats and worker-thread counts.
  */
 
 #ifndef NEON_SERVE_SERVE_ENGINE_HH

@@ -11,8 +11,7 @@
  * slot count by the fleet's observed speed-normalized advance (from
  * GlobalVirtualClock samples) — a fleet running slow or degraded sheds
  * earlier. Everything is plain arithmetic on values produced in
- * control-plane order, so decisions are deterministic across repeats
- * and shard counts.
+ * control-plane order, so decisions are deterministic across repeats.
  */
 
 #ifndef NEON_SERVE_SLO_ADMISSION_HH

@@ -59,7 +59,7 @@ TEST(FleetWorld, EachDeviceRunsItsOwnSchedulerInstance)
 
 TEST(FleetWorld, SingleDeviceFleetMatchesWorldBehaviour)
 {
-    // devices=1 must reproduce the unsharded world's results closely.
+    // devices=1 must reproduce the single-device world's results closely.
     ExperimentConfig cfg = fleetConfig(1);
     FleetRunner fleet_runner(cfg);
     const FleetRunResult fr =

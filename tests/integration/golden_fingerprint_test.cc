@@ -2,7 +2,7 @@
  * @file
  * Absolute golden fingerprints of three representative runs.
  *
- * The other determinism pins are relative (serial vs sharded, all-off
+ * The other determinism pins are relative (repeat vs repeat, all-off
  * vs configured, traced vs untraced), so a change that reorders
  * same-tick events on every path at once would still pass them. These
  * pin the exact digests: every per-session / per-task record, the

@@ -5,7 +5,7 @@
  * migrations, device death, failover, retry backoff, and watchdog
  * kills — a single whole-run window must reproduce the final service
  * fairness index bit-for-bit, the windowed timeline must be
- * deterministic across repeats and worker-thread counts, and replaying
+ * deterministic across repeats, and replaying
  * an exported trace must reproduce the in-process attribution.
  */
 
@@ -203,11 +203,10 @@ TEST(Analyze, TraceReplayMatchesDirectAttribution)
     }
 }
 
-TEST(Analyze, ShardedTimelineDeterministicAcrossRepeatsAndThreads)
+TEST(Analyze, TimelineDeterministicAcrossRepeats)
 {
     // The windowed series is part of the simulation's deterministic
-    // output: bit-identical CSV across repeats and across worker-thread
-    // counts at a fixed shard count.
+    // output: bit-identical CSV across repeats.
     ExperimentConfig cfg;
     cfg.sched = SchedKind::DisengagedFq;
     cfg.fleet.devices = 8;
@@ -219,7 +218,6 @@ TEST(Analyze, ShardedTimelineDeterministicAcrossRepeatsAndThreads)
     cfg.serve.migrationMinTasks = 1;
     cfg.serve.slo.sojournTarget = msec(300);
     cfg.measure = sec(1);
-    cfg.shards.count = 2;
     cfg.observe.analyze.phases = true;
     cfg.observe.analyze.window = msec(100);
 
@@ -234,24 +232,21 @@ TEST(Analyze, ShardedTimelineDeterministicAcrossRepeatsAndThreads)
          LifetimeSpec::exponential(msec(80))},
     };
 
-    const auto run_csv = [&](unsigned threads) {
-        ExperimentConfig c = cfg;
-        c.shards.threads = threads;
-        ServeWorld world(c, specs);
+    const auto run_csv = [&] {
+        ServeWorld world(cfg, specs);
         world.start();
-        world.runFor(c.measure);
+        world.runFor(cfg.measure);
         const ServeRunResult r = world.results();
-        // The partition invariant holds in sharded runs too.
+        // The partition invariant holds on every repeat.
         for (const SessionPhases &s : r.sessionPhases)
             EXPECT_EQ(s.phases.total(), s.inSystem());
         EXPECT_TRUE(r.audit.clean()) << r.audit.summary();
         return world.analyzer->timelineCsv();
     };
 
-    const std::string base = run_csv(1);
+    const std::string base = run_csv();
     ASSERT_GT(base.size(), 100u);
-    EXPECT_EQ(run_csv(1), base); // repeat, same shape
-    EXPECT_EQ(run_csv(2), base); // more workers, same series
+    EXPECT_EQ(run_csv(), base);
 }
 
 TEST(Analyze, PhaseTrackerChargesTransitionsExactly)

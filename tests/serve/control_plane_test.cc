@@ -2,7 +2,7 @@
  * @file
  * End-to-end tests of the serving control plane: token-bucket
  * throttling, SLO-predictive shedding, QoS preemption, exact outcome
- * conservation under every mix, sharded determinism with the control
+ * conservation under every mix, repeat determinism with the control
  * plane on, and a regression pin that the disabled configuration has
  * zero behavioral footprint.
  */
@@ -397,9 +397,9 @@ TEST(ControlPlane, ConservationHoldsAcrossRateBudgetAndMixSweep)
     }
 }
 
-/** Sharded fleet with the whole control plane on (clock-steered). */
+/** 8-device fleet with the whole control plane on (clock-steered). */
 ExperimentConfig
-shardedControlConfig()
+controlConfig()
 {
     ExperimentConfig cfg;
     cfg.sched = SchedKind::DisengagedFq;
@@ -425,7 +425,7 @@ shardedControlConfig()
 }
 
 std::vector<ServeWorkloadSpec>
-shardedControlSpecs()
+controlSpecs()
 {
     WorkloadSpec heavy = WorkloadSpec::throttle(usec(400));
     heavy.label = "heavy";
@@ -486,24 +486,16 @@ controlFingerprint(const ExperimentConfig &cfg,
     return fp;
 }
 
-TEST(ControlPlane, ShardedRunsBitIdenticalAcrossRepeatsAndThreads)
+TEST(ControlPlane, RunsBitIdenticalAcrossRepeats)
 {
     // Every control decision (bucket refill, shed prediction, victim
-    // pick) runs on the coordinator queue, so the sharded run stays a
-    // pure function of the simulation with the full plane enabled.
-    ExperimentConfig cfg = shardedControlConfig();
-    cfg.shards.count = 4;
-    cfg.shards.threads = 1;
-
+    // pick) is a pure function of the simulation, so a repeat with the
+    // full plane enabled reproduces every outcome.
+    const ExperimentConfig cfg = controlConfig();
     const std::vector<std::string> base =
-        controlFingerprint(cfg, shardedControlSpecs());
+        controlFingerprint(cfg, controlSpecs());
     ASSERT_GT(base.size(), 10u);
-    EXPECT_EQ(controlFingerprint(cfg, shardedControlSpecs()), base);
-
-    cfg.shards.threads = 2;
-    EXPECT_EQ(controlFingerprint(cfg, shardedControlSpecs()), base);
-    cfg.shards.threads = 4;
-    EXPECT_EQ(controlFingerprint(cfg, shardedControlSpecs()), base);
+    EXPECT_EQ(controlFingerprint(cfg, controlSpecs()), base);
 
     // The scenario exercised every actuator, not just the happy path.
     bool sawThrottle = false, sawShed = false;
@@ -515,32 +507,6 @@ TEST(ControlPlane, ShardedRunsBitIdenticalAcrossRepeatsAndThreads)
     }
     EXPECT_TRUE(sawThrottle);
     EXPECT_TRUE(sawShed);
-}
-
-TEST(ControlPlane, ControlDecisionsMatchAcrossShardCounts)
-{
-    // Front-door decisions depend only on control-queue state: the
-    // serial core and the 4-shard decomposition must throttle and shed
-    // the exact same sessions.
-    ExperimentConfig serial = shardedControlConfig();
-    const std::vector<std::string> base =
-        controlFingerprint(serial, shardedControlSpecs());
-
-    ExperimentConfig sharded = shardedControlConfig();
-    sharded.shards.count = 4;
-    sharded.shards.threads = 2;
-    const std::vector<std::string> par =
-        controlFingerprint(sharded, shardedControlSpecs());
-
-    auto outcomes = [](const std::vector<std::string> &fp) {
-        std::vector<std::string> out;
-        for (const std::string &line : fp)
-            if (line.find(" thr=1") != std::string::npos ||
-                line.find(" pshed=1") != std::string::npos)
-                out.push_back(line.substr(0, line.find(" adm=")));
-        return out;
-    };
-    EXPECT_EQ(outcomes(par), outcomes(base));
 }
 
 /** The exact PR-9 scenario: no QoS metadata, no budgets, no limits. */
@@ -566,7 +532,7 @@ TEST(ControlPlane, DisabledPlaneHasZeroFootprint)
     // with zero control-plane outcomes — and configurations that
     // enable a feature without giving it anything to act on must not
     // perturb a single session, placement, or event.
-    ExperimentConfig off = shardedControlConfig();
+    ExperimentConfig off = controlConfig();
     off.serve.rateLimit = TokenBucketConfig{};
     off.serve.shed = PredictiveShedConfig{};
     off.serve.qos = QosConfig{};
@@ -580,7 +546,7 @@ TEST(ControlPlane, DisabledPlaneHasZeroFootprint)
     }
 
     // Explicitly zeroed knobs == default-constructed structs.
-    ExperimentConfig zeroed = shardedControlConfig();
+    ExperimentConfig zeroed = controlConfig();
     zeroed.serve.rateLimit.ratePerSec = 0.0;
     zeroed.serve.rateLimit.burst = 1.0;
     zeroed.serve.qos.enabled = false;

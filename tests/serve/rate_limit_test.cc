@@ -81,7 +81,7 @@ TEST(TokenBucket, IdleAccumulationCapsAtBurst)
 TEST(TokenBucket, DecisionsAreBitIdenticalAcrossRepeats)
 {
     // The same virtual-time call sequence yields the same admit/deny
-    // pattern every run — the property the sharded engine leans on.
+    // pattern every run.
     const std::vector<Tick> calls = {0,        usec(100), usec(900),
                                      msec(1),  msec(1),   msec(2),
                                      msec(25), msec(25),  msec(26)};

@@ -297,5 +297,98 @@ TEST(ServeIntegration, VoluntaryRetireBeatsWatchdogAndMetersReconcile)
     EXPECT_GT(session_busy, 0);
 }
 
+TEST(ServeIntegration, MetersReconcileUnderMigrationDeathAndWatchdogKill)
+{
+    // Teardown race 3, all three teardown paths at once: clock-steered
+    // migration keeps retiring incarnations on a skewed 8-device fleet
+    // while a scripted death evicts the victims and a channel hang is
+    // convicted by the watchdog. Every incarnation must fold into the
+    // session ledger exactly once.
+    ExperimentConfig cfg;
+    cfg.sched = SchedKind::DisengagedFq;
+    cfg.fleet.devices = 8;
+    cfg.fleet.speedFactors = {1.4, 1.0, 0.6, 1.0, 1.2, 0.8, 1.0, 1.0};
+    cfg.serve.slotsPerDevice = 2;
+    cfg.serve.useGlobalClock = true;
+    cfg.serve.clockPeriod = msec(10);
+    cfg.serve.migrationLag = msec(15);
+    cfg.serve.migrationMinTasks = 1;
+    cfg.measure = sec(2);
+
+    cfg.fault.watchdog.enabled = true;
+    cfg.fault.watchdog.checkPeriod = msec(5);
+    cfg.fault.watchdog.hangTimeout = msec(30);
+    cfg.fault.watchdog.runawayTimeout = 0;
+    cfg.fault.plan.script = {
+        {msec(300), FaultKind::DeviceDeath, 0, msec(400)},
+        {msec(500), FaultKind::ChannelHang, 1, 0},
+    };
+
+    WorkloadSpec heavy = WorkloadSpec::throttle(usec(400));
+    heavy.label = "heavy";
+    WorkloadSpec light = WorkloadSpec::throttle(usec(150), 0.3);
+    light.label = "light";
+    const std::vector<ServeWorkloadSpec> specs = {
+        {heavy, ArrivalSpec::poisson(30.0, msec(600)),
+         LifetimeSpec::fixed(msec(120))},
+        {light, ArrivalSpec::poisson(50.0, msec(600)),
+         LifetimeSpec::exponential(msec(80))},
+    };
+
+    ServeWorld world(cfg, specs);
+    world.start();
+    world.runFor(cfg.measure);
+    const ServeRunResult r = world.results();
+
+    // The scenario exercised every teardown path.
+    EXPECT_GE(r.migrations, 1u);
+    EXPECT_GE(r.evictions, 1u);
+    EXPECT_EQ(r.fault.injectedDeaths, 1u);
+    EXPECT_GE(r.fault.watchdogHangKills, 1u);
+
+    // Exact reconciliation: per-session sums equal the ground-truth
+    // per-device meters across eviction, migration, and kill folds.
+    Tick session_busy = 0;
+    std::uint64_t session_reqs = 0;
+    for (const auto &s : r.sessions) {
+        session_busy += s.busy;
+        session_reqs += s.requests;
+    }
+    Tick meter_busy = 0;
+    std::uint64_t meter_reqs = 0;
+    for (std::size_t i = 0; i < world.fleet.deviceCount(); ++i) {
+        const UsageMeter &m = world.fleet.stack(i).meter;
+        meter_busy += m.totalBusy();
+        meter_reqs += m.totalRequests();
+    }
+    EXPECT_EQ(session_busy, meter_busy);
+    EXPECT_EQ(session_reqs, meter_reqs);
+    EXPECT_GT(session_busy, 0);
+
+    // And the run with faults is deterministic.
+    ServeWorld again(cfg, specs);
+    again.start();
+    again.runFor(cfg.measure);
+    EXPECT_EQ(again.eventsExecuted(), world.eventsExecuted());
+    EXPECT_EQ(again.fleet.totalBusy(), world.fleet.totalBusy());
+}
+
+TEST(ServeIntegration, ShardCountAboveOneRejectedAtConstruction)
+{
+    // Only the serial core exists; asking for shards must fail loudly
+    // at construction instead of silently running serial.
+    ExperimentConfig cfg;
+    cfg.fleet.devices = 4;
+    cfg.shards.count = 2;
+    WorkloadSpec w = WorkloadSpec::throttle(usec(300));
+    const std::vector<ServeWorkloadSpec> specs = {
+        {w, ArrivalSpec::trace({0}), LifetimeSpec::fixed(msec(10))},
+    };
+    EXPECT_DEATH(FleetWorld world(cfg),
+                 "shards.count = 2: the sharded simulation core was removed");
+    EXPECT_DEATH(ServeWorld world(cfg, specs),
+                 "shards.count = 2: the sharded simulation core was removed");
+}
+
 } // namespace
 } // namespace neon
