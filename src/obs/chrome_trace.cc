@@ -1,9 +1,12 @@
 #include "obs/chrome_trace.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <map>
+#include <numeric>
 #include <utility>
+
+#include "sim/logging.hh"
 
 namespace neon
 {
@@ -11,7 +14,7 @@ namespace obs
 {
 
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
@@ -38,45 +41,41 @@ jsonEscape(const std::string &s)
 namespace
 {
 
-struct LaneTable
-{
-    std::map<std::pair<std::uint32_t, std::string>, std::uint32_t> ids;
-    std::map<std::uint32_t, std::uint32_t> next;
-    std::vector<ChromeLane> lanes;
+constexpr std::uint32_t noLane = ~std::uint32_t(0);
 
-    std::uint32_t
-    lane(std::uint32_t pid, const std::string &label)
+/**
+ * Incremental lowering of records in capture order. Lanes live in a
+ * dense (pid, name id) table; each lane carries the categories of its
+ * open spans (all of one name, since a span lane is per name), so
+ * orphan Ends can be dropped and dangling Begins closed.
+ */
+class ChromeBuilder
+{
+  public:
+    /**
+     * Sized for @p records records: at most one event each, plus at
+     * most one dangling close per Begin, so the event vector never
+     * regrows (a regrow copies every event). Pages it never reaches
+     * are never touched, so the bound costs no memory. The lane labels
+     * are interned before the name table is taken, so the table
+     * covers them.
+     */
+    explicit ChromeBuilder(std::size_t records)
+        : marks(internTraceName("marks")),
+          sessions(internTraceName("sessions")), names(traceNameTable())
     {
-        auto it = ids.find({pid, label});
-        if (it != ids.end())
-            return it->second;
-        const std::uint32_t tid = next[pid]++;
-        ids.emplace(std::make_pair(pid, label), tid);
-        lanes.push_back({pid, tid, label});
-        return tid;
+        tl.events.reserve(2 * records);
     }
-};
 
-} // namespace
-
-ChromeTimeline
-buildChromeEvents(const std::vector<TraceRecord> &records)
-{
-    ChromeTimeline tl;
-    LaneTable lanes;
-    // Per-lane stack of open span names so orphan Ends (whose Begin
-    // fell off the ring) can be dropped instead of emitted unbalanced.
-    std::map<std::pair<std::uint32_t, std::uint32_t>,
-             std::vector<std::pair<std::string, std::string>>> open;
-    double lastTs = 0.0;
-
-    for (const auto &r : records) {
+    void
+    add(const TraceRecord &r)
+    {
         const std::uint32_t pid =
             r.device >= 0 ? static_cast<std::uint32_t>(r.device) + 1 : 0;
         if (pid + 1 > tl.processCount)
             tl.processCount = pid + 1;
-        const std::string &name = traceNameOf(r.name);
-        const std::string cat = traceCategoryName(r.category());
+        if (r.name >= names.size())
+            panic("unknown interned trace name id ", r.name);
         const double ts = toUsec(r.when);
         if (ts > lastTs)
             lastTs = ts;
@@ -84,8 +83,8 @@ buildChromeEvents(const std::vector<TraceRecord> &records)
         ChromeEvent ev;
         ev.ts = ts;
         ev.pid = pid;
-        ev.name = name;
-        ev.cat = cat;
+        ev.name = names[r.name];
+        ev.cat = traceCategoryName(r.category());
         ev.argPid = r.pid;
         ev.argA = r.arg0;
         ev.argB = r.arg1;
@@ -93,29 +92,29 @@ buildChromeEvents(const std::vector<TraceRecord> &records)
         switch (r.kind) {
           case TraceKind::Instant:
             ev.ph = 'i';
-            ev.tid = lanes.lane(pid, "marks");
+            ev.tid = tl.lanes[lane(pid, marks)].tid;
             ev.hasArgs = true;
-            tl.events.push_back(std::move(ev));
+            tl.events.push_back(ev);
             break;
           case TraceKind::Begin:
           case TraceKind::End: {
             // One lane per span name keeps the B/E stack discipline of
             // a Chrome "thread" even when differently named spans
             // overlap (execute vs. DMA engines, free-run vs. engage).
-            const std::uint32_t tid = lanes.lane(pid, name);
-            ev.tid = tid;
-            auto &stack = open[{pid, tid}];
+            const std::uint32_t l = lane(pid, r.name);
+            ev.tid = tl.lanes[l].tid;
+            auto &stack = open[l];
             if (r.kind == TraceKind::Begin) {
                 ev.ph = 'B';
                 ev.hasArgs = true;
-                stack.emplace_back(name, cat);
+                stack.push_back(ev.cat);
             } else {
                 if (stack.empty())
                     break; // orphan End: its Begin fell off the ring
                 stack.pop_back();
                 ev.ph = 'E';
             }
-            tl.events.push_back(std::move(ev));
+            tl.events.push_back(ev);
             break;
           }
           case TraceKind::AsyncBegin:
@@ -124,10 +123,10 @@ buildChromeEvents(const std::vector<TraceRecord> &records)
             // the session id keys begin/end pairing.
             ev.ph = r.kind == TraceKind::AsyncBegin ? 'b' : 'e';
             ev.pid = 0;
-            ev.tid = lanes.lane(0, "sessions");
+            ev.tid = tl.lanes[lane(0, sessions)].tid;
             ev.id = r.session;
             ev.hasArgs = r.kind == TraceKind::AsyncBegin;
-            tl.events.push_back(std::move(ev));
+            tl.events.push_back(ev);
             break;
           case TraceKind::FlowStart:
           case TraceKind::FlowStep:
@@ -135,9 +134,9 @@ buildChromeEvents(const std::vector<TraceRecord> &records)
             ev.ph = r.kind == TraceKind::FlowStart  ? 's'
                     : r.kind == TraceKind::FlowStep ? 't'
                                                     : 'f';
-            ev.tid = lanes.lane(pid, "marks");
+            ev.tid = tl.lanes[lane(pid, marks)].tid;
             ev.id = r.session;
-            tl.events.push_back(std::move(ev));
+            tl.events.push_back(ev);
             break;
           case TraceKind::CounterVal:
             ev.ph = 'C';
@@ -145,68 +144,146 @@ buildChromeEvents(const std::vector<TraceRecord> &records)
             ev.tid = 0;
             ev.hasValue = true;
             ev.value = std::bit_cast<double>(r.arg0);
-            tl.events.push_back(std::move(ev));
+            tl.events.push_back(ev);
             break;
         }
     }
 
-    // Close spans still open at the end of the capture at the last
-    // seen timestamp so viewers don't stretch them to infinity.
-    for (auto &[key, stack] : open) {
-        while (!stack.empty()) {
-            ChromeEvent ev;
-            ev.ph = 'E';
-            ev.ts = lastTs;
-            ev.pid = key.first;
-            ev.tid = key.second;
-            ev.name = stack.back().first;
-            ev.cat = stack.back().second;
-            stack.pop_back();
-            tl.events.push_back(std::move(ev));
+    /** Close spans still open at the last seen timestamp so viewers
+     *  don't stretch them to infinity, then hand the timeline over. */
+    ChromeTimeline
+    finish()
+    {
+        std::vector<std::uint32_t> order(tl.lanes.size());
+        std::iota(order.begin(), order.end(), 0u);
+        std::sort(order.begin(), order.end(),
+                  [this](std::uint32_t a, std::uint32_t b) {
+                      return std::pair(tl.lanes[a].pid, tl.lanes[a].tid) <
+                             std::pair(tl.lanes[b].pid, tl.lanes[b].tid);
+                  });
+        for (const std::uint32_t l : order) {
+            auto &stack = open[l];
+            while (!stack.empty()) {
+                ChromeEvent ev;
+                ev.ph = 'E';
+                ev.ts = lastTs;
+                ev.pid = tl.lanes[l].pid;
+                ev.tid = tl.lanes[l].tid;
+                ev.name = tl.lanes[l].name;
+                ev.cat = stack.back();
+                stack.pop_back();
+                tl.events.push_back(ev);
+            }
         }
+        return std::move(tl);
     }
 
-    tl.lanes = std::move(lanes.lanes);
-    return tl;
+  private:
+    /** Index into tl.lanes of (pid, name); tids count up per pid. */
+    std::uint32_t
+    lane(std::uint32_t pid, std::uint16_t name)
+    {
+        if (pid >= nextTid.size()) {
+            nextTid.resize(pid + 1, 0);
+            laneOf.resize((pid + 1) * names.size(), noLane);
+        }
+        std::uint32_t &l = laneOf[pid * names.size() + name];
+        if (l == noLane) {
+            l = static_cast<std::uint32_t>(tl.lanes.size());
+            tl.lanes.push_back({pid, nextTid[pid]++, names[name]});
+            open.emplace_back();
+        }
+        return l;
+    }
+
+    std::uint16_t marks;
+    std::uint16_t sessions;
+    std::vector<std::string_view> names; ///< by interned id
+    ChromeTimeline tl;
+    double lastTs = 0.0;
+    std::vector<std::uint32_t> nextTid;  ///< per pid
+    std::vector<std::uint32_t> laneOf;   ///< [pid * names + name id]
+    std::vector<std::vector<std::string_view>> open; ///< per lane: cats
+};
+
+} // namespace
+
+ChromeTimeline
+buildChromeEvents(const std::vector<TraceRecord> &records)
+{
+    ChromeBuilder b(records.size());
+    for (const TraceRecord &r : records)
+        b.add(r);
+    return b.finish();
+}
+
+ChromeTimeline
+buildChromeEvents(const TraceRecorder &rec)
+{
+    ChromeBuilder b(rec.size());
+    rec.forEachRecord([&b](const TraceRecord &r) { b.add(r); });
+    return b.finish();
 }
 
 namespace
 {
 
 void
-writeEvent(std::ostream &os, const ChromeEvent &e)
+writeEvent(TextWriter &w, const ChromeEvent &e)
 {
-    os << "{\"name\":\"" << jsonEscape(e.name) << "\",\"cat\":\""
-       << jsonEscape(e.cat) << "\",\"ph\":\"" << e.ph << "\",\"ts\":"
-       << e.ts << ",\"pid\":" << e.pid << ",\"tid\":" << e.tid;
+    w.put("{\"name\":\"");
+    w.putJsonString(e.name);
+    w.put("\",\"cat\":\"");
+    w.putJsonString(e.cat);
+    w.put("\",\"ph\":\"");
+    w.put(e.ph);
+    w.put("\",\"ts\":");
+    w.put(e.ts);
+    w.put(",\"pid\":");
+    w.put(e.pid);
+    w.put(",\"tid\":");
+    w.put(e.tid);
     if (e.ph == 'i')
-        os << ",\"s\":\"t\"";
-    if (e.id >= 0)
-        os << ",\"id\":" << e.id;
-    if (e.hasValue) {
-        os << ",\"args\":{\"value\":" << e.value << "}";
-    } else if (e.hasArgs) {
-        os << ",\"args\":{";
-        bool first = true;
-        if (e.argPid >= 0) {
-            os << "\"task\":" << e.argPid;
-            first = false;
-        }
-        if (!first)
-            os << ",";
-        os << "\"a0\":" << e.argA << ",\"a1\":" << e.argB << "}";
+        w.put(",\"s\":\"t\"");
+    if (e.id >= 0) {
+        w.put(",\"id\":");
+        w.put(e.id);
     }
-    os << "}";
+    if (e.hasValue) {
+        w.put(",\"args\":{\"value\":");
+        w.put(e.value);
+        w.put('}');
+    } else if (e.hasArgs) {
+        w.put(",\"args\":{");
+        if (e.argPid >= 0) {
+            w.put("\"task\":");
+            w.put(e.argPid);
+            w.put(',');
+        }
+        w.put("\"a0\":");
+        w.put(e.argA);
+        w.put(",\"a1\":");
+        w.put(e.argB);
+        w.put('}');
+    }
+    w.put('}');
 }
 
 void
-writeMeta(std::ostream &os, const char *what, std::uint32_t pid,
-          std::uint32_t tid, bool withTid, const std::string &name)
+writeMeta(TextWriter &w, std::string_view what, std::uint32_t pid,
+          std::uint32_t tid, bool withTid, std::string_view name)
 {
-    os << "{\"name\":\"" << what << "\",\"ph\":\"M\",\"pid\":" << pid;
-    if (withTid)
-        os << ",\"tid\":" << tid;
-    os << ",\"args\":{\"name\":\"" << jsonEscape(name) << "\"}}";
+    w.put("{\"name\":\"");
+    w.put(what);
+    w.put("\",\"ph\":\"M\",\"pid\":");
+    w.put(pid);
+    if (withTid) {
+        w.put(",\"tid\":");
+        w.put(tid);
+    }
+    w.put(",\"args\":{\"name\":\"");
+    w.putJsonString(name);
+    w.put("\"}}");
 }
 
 } // namespace
@@ -214,39 +291,39 @@ writeMeta(std::ostream &os, const char *what, std::uint32_t pid,
 void
 writeChromeTrace(std::ostream &os, const ChromeTimeline &tl)
 {
-    // Default stream precision (6 significant digits) would round
+    // Timestamps print at 15 significant digits: 6 would round the
     // microsecond timestamps of multi-second runs onto each other and
     // break per-track monotonicity in the viewer.
-    const auto saved = os.precision(15);
-    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+    TextWriter w(os);
+    w.put("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     bool first = true;
     for (std::uint32_t pid = 0; pid < tl.processCount; ++pid) {
         if (!first)
-            os << ",\n";
+            w.put(",\n");
         first = false;
         const std::string pname =
             pid == 0 ? std::string("fleet")
                      : "device" + std::to_string(pid - 1);
-        writeMeta(os, "process_name", pid, 0, false, pname);
+        writeMeta(w, "process_name", pid, 0, false, pname);
     }
     for (const auto &lane : tl.lanes) {
-        os << ",\n";
-        writeMeta(os, "thread_name", lane.pid, lane.tid, true, lane.name);
+        w.put(",\n");
+        writeMeta(w, "thread_name", lane.pid, lane.tid, true, lane.name);
     }
     for (const auto &e : tl.events) {
         if (!first)
-            os << ",\n";
+            w.put(",\n");
         first = false;
-        writeEvent(os, e);
+        writeEvent(w, e);
     }
-    os << "\n]}\n";
-    os.precision(saved);
+    w.put("\n]}\n");
+    w.flush();
 }
 
 void
 writeChromeTrace(std::ostream &os, const TraceRecorder &rec)
 {
-    writeChromeTrace(os, buildChromeEvents(rec.snapshot()));
+    writeChromeTrace(os, buildChromeEvents(rec));
 }
 
 } // namespace obs

@@ -15,14 +15,25 @@
  * inspectable intermediate event list (what the integration tests
  * check for track-monotonic timestamps and span pairing) and
  * writeChromeTrace() merely serializes it.
+ *
+ * Exports run to tens of megabytes per run, so neither stage allocates
+ * per record: names are views into the process-lifetime intern table
+ * (taken once per export), lanes and span stacks are dense tables
+ * keyed by (pid, interned name id), and serialization goes through
+ * TextWriter instead of ostream formatting.
  */
 
 #ifndef NEON_OBS_CHROME_TRACE_HH
 #define NEON_OBS_CHROME_TRACE_HH
 
+#include <algorithm>
+#include <charconv>
+#include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.hh"
@@ -39,8 +50,8 @@ struct ChromeEvent
     double ts = 0.0;        ///< microseconds
     std::uint32_t pid = 0;  ///< device track (device + 1; 0 = global)
     std::uint32_t tid = 0;  ///< lane within the track
-    std::string name;
-    std::string cat;
+    std::string_view name;  ///< interned trace-point name
+    std::string_view cat;   ///< traceCategoryName() literal
     std::int64_t id = -1;   ///< async/flow binding id (session)
     bool hasValue = false;  ///< C events carry a numeric value
     double value = 0.0;
@@ -55,7 +66,7 @@ struct ChromeLane
 {
     std::uint32_t pid;
     std::uint32_t tid;
-    std::string name;
+    std::string_view name; ///< interned label (span name, marks, sessions)
 };
 
 /** The built timeline: events plus track/lane naming metadata. */
@@ -74,18 +85,113 @@ struct ChromeTimeline
  * Begin on its lane (the Begin fell off the ring) is dropped rather
  * than emitted unbalanced, and spans still open at the end of the
  * capture are closed at the last seen timestamp so viewers don't
- * extend them to infinity.
+ * extend them to infinity. Lanes are numbered per track in discovery
+ * order; dangling spans are closed in (pid, tid) order.
  */
 ChromeTimeline buildChromeEvents(const std::vector<TraceRecord> &records);
+
+/** Lower a recorder's held records in place (no snapshot copy). */
+ChromeTimeline buildChromeEvents(const TraceRecorder &rec);
 
 /** Serialize a built timeline as Chrome trace JSON. */
 void writeChromeTrace(std::ostream &os, const ChromeTimeline &tl);
 
-/** Convenience: build + serialize a recorder snapshot. */
+/** Convenience: build + serialize a recorder's held records. */
 void writeChromeTrace(std::ostream &os, const TraceRecorder &rec);
 
 /** Escape a string for embedding in a JSON literal (no quotes added). */
-std::string jsonEscape(const std::string &s);
+std::string jsonEscape(std::string_view s);
+
+/**
+ * Buffered text writer for the exports. It formats straight into a
+ * one-megabyte buffer and hands the stream whole chunks. Numbers go
+ * through std::to_chars: integers in decimal, doubles as
+ * chars_format::general at 15 significant digits, which prints exactly
+ * what an ostream at precision(15) prints (both are printf's "%.15g").
+ * The stream's own formatting flags play no part. Call flush() when
+ * done; the destructor does not write.
+ */
+class TextWriter
+{
+  public:
+    explicit TextWriter(std::ostream &os) : os(os), buf(chunk) {}
+
+    void
+    put(char c)
+    {
+        room(1);
+        buf[len++] = c;
+    }
+
+    void
+    put(std::string_view s)
+    {
+        if (s.size() > chunk) {
+            flush();
+            os.write(s.data(), static_cast<std::streamsize>(s.size()));
+            return;
+        }
+        room(s.size());
+        std::memcpy(buf.data() + len, s.data(), s.size());
+        len += s.size();
+    }
+
+    /** Integers wider than a byte, in decimal (as ostream prints them). */
+    template <std::integral T>
+        requires(sizeof(T) > 1)
+    void
+    put(T v)
+    {
+        room(maxNumber);
+        len = std::to_chars(buf.data() + len, buf.data() + chunk, v).ptr -
+              buf.data();
+    }
+
+    /** A double as an ostream at precision(15) prints it. */
+    void
+    put(double v)
+    {
+        room(maxNumber);
+        len = std::to_chars(buf.data() + len, buf.data() + chunk, v,
+                            std::chars_format::general, 15)
+                  .ptr -
+              buf.data();
+    }
+
+    /** A JSON string body, escaped only if @p s holds a special. */
+    void
+    putJsonString(std::string_view s)
+    {
+        const bool plain = std::none_of(s.begin(), s.end(), [](char c) {
+            return c == '"' || c == '\\' ||
+                   static_cast<unsigned char>(c) < 0x20;
+        });
+        put(plain ? s : std::string_view(jsonEscape(s)));
+    }
+
+    /** Hand everything buffered to the stream. */
+    void
+    flush()
+    {
+        os.write(buf.data(), static_cast<std::streamsize>(len));
+        len = 0;
+    }
+
+  private:
+    static constexpr std::size_t chunk = std::size_t(1) << 20;
+    static constexpr std::size_t maxNumber = 32; ///< >= any to_chars above
+
+    void
+    room(std::size_t n)
+    {
+        if (len + n > chunk)
+            flush();
+    }
+
+    std::ostream &os;
+    std::vector<char> buf;
+    std::size_t len = 0;
+};
 
 } // namespace obs
 } // namespace neon

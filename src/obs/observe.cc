@@ -107,14 +107,30 @@ namespace
 
 /** One record as a JSON object (bench_trace_analyze input line). */
 void
-printRecordJson(std::ostream &os, const TraceRecord &r)
+printRecordJson(TextWriter &w, const std::vector<std::string_view> &names,
+                const TraceRecord &r)
 {
-    os << "{\"when\": " << r.when << ", \"name\": \""
-       << traceNameOf(r.name) << "\", \"cat\": \""
-       << traceCategoryName(r.category()) << "\", \"kind\": "
-       << static_cast<int>(r.kind) << ", \"device\": " << r.device
-       << ", \"pid\": " << r.pid << ", \"session\": " << r.session
-       << ", \"arg0\": " << r.arg0 << ", \"arg1\": " << r.arg1 << "}\n";
+    if (r.name >= names.size())
+        panic("unknown interned trace name id ", r.name);
+    w.put("{\"when\": ");
+    w.put(r.when);
+    w.put(", \"name\": \"");
+    w.putJsonString(names[r.name]);
+    w.put("\", \"cat\": \"");
+    w.put(std::string_view(traceCategoryName(r.category())));
+    w.put("\", \"kind\": ");
+    w.put(static_cast<int>(r.kind));
+    w.put(", \"device\": ");
+    w.put(r.device);
+    w.put(", \"pid\": ");
+    w.put(r.pid);
+    w.put(", \"session\": ");
+    w.put(r.session);
+    w.put(", \"arg0\": ");
+    w.put(r.arg0);
+    w.put(", \"arg1\": ");
+    w.put(r.arg1);
+    w.put("}\n");
 }
 
 } // namespace
@@ -139,8 +155,12 @@ Observer::writeOutputs()
         if (!os)
             fatal("cannot open records output '", cfg.recordsJsonlPath,
                   "'");
-        for (const TraceRecord &r : ring.snapshot())
-            printRecordJson(os, r);
+        const std::vector<std::string_view> names = traceNameTable();
+        TextWriter w(os);
+        ring.forEachRecord([&](const TraceRecord &r) {
+            printRecordJson(w, names, r);
+        });
+        w.flush();
     }
 }
 

@@ -1,5 +1,6 @@
 #include "obs/trace.hh"
 
+#include <deque>
 #include <mutex>
 #include <unordered_map>
 
@@ -65,13 +66,14 @@ namespace
  * ids handed out to function-local statics in trace points stay valid
  * across recorder swaps and ring wraps. Mutex-guarded: interning is a
  * cold once-per-trace-point path, and worlds driven from different
- * threads may hit it at once.
+ * threads may hit it at once. A deque never moves its elements on
+ * growth, so references and views handed out stay valid.
  */
 struct InternTable
 {
     std::mutex mtx;
-    std::vector<std::string> names;
-    std::unordered_map<std::string, std::uint16_t> ids;
+    std::deque<std::string> names;
+    std::unordered_map<std::string_view, std::uint16_t> ids;
 };
 
 InternTable &
@@ -109,6 +111,14 @@ traceNameOf(std::uint16_t id)
     return t.names[id];
 }
 
+std::vector<std::string_view>
+traceNameTable()
+{
+    auto &t = interns();
+    std::lock_guard<std::mutex> lock(t.mtx);
+    return std::vector<std::string_view>(t.names.begin(), t.names.end());
+}
+
 std::size_t
 traceNameCount()
 {
@@ -131,9 +141,7 @@ TraceRecorder::snapshot() const
 {
     std::vector<TraceRecord> out;
     out.reserve(size());
-    const std::uint64_t first = head > ring.size() ? head - ring.size() : 0;
-    for (std::uint64_t i = first; i < head; ++i)
-        out.push_back(ring[static_cast<std::size_t>(i) & mask]);
+    forEachRecord([&out](const TraceRecord &r) { out.push_back(r); });
     return out;
 }
 

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/types.hh"
@@ -123,8 +124,19 @@ static_assert(sizeof(TraceRecord) == 40, "trace records must stay POD-lean");
  */
 std::uint16_t internTraceName(const char *name);
 
-/** The string behind an interned id (panics on an unknown id). */
+/**
+ * The string behind an interned id (panics on an unknown id). Names
+ * live in stable storage, so the reference stays valid for the process
+ * lifetime however many names are interned after it.
+ */
 const std::string &traceNameOf(std::uint16_t id);
+
+/**
+ * Every name interned so far, indexed by id, taken under one lock.
+ * The views stay valid for the process lifetime (exporters use this
+ * instead of one traceNameOf() lock per record).
+ */
+std::vector<std::string_view> traceNameTable();
 
 /** Number of names interned so far (tests). */
 std::size_t traceNameCount();
@@ -170,6 +182,15 @@ class TraceRecorder
 
     /** Copy out the held records, oldest first. */
     std::vector<TraceRecord> snapshot() const;
+
+    /** Visit the held records in place, oldest first (no copy). */
+    template <typename F>
+    void
+    forEachRecord(F &&f) const
+    {
+        for (std::uint64_t i = dropped(); i < head; ++i)
+            f(ring[static_cast<std::size_t>(i) & mask]);
+    }
 
     /** Forget everything (capacity retained). */
     void clear() { head = 0; }

@@ -115,7 +115,7 @@ TEST(ObserveIntegration, TracedServeRunProducesCompleteTimeline)
     std::map<std::string, std::size_t> counter_samples;
     for (const auto &e : tl.events) {
         if (e.ph == 'C')
-            ++counter_samples[e.name];
+            ++counter_samples[std::string(e.name)];
     }
     EXPECT_GE(counter_samples["dev0.queue_depth"], 3u);
     EXPECT_GE(counter_samples["fleet.vtime_lag_ms"], 3u);

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "obs/trace.hh"
 #include "sim/event_queue.hh"
 
@@ -74,6 +77,24 @@ TEST(TraceNames, InterningIsStableAndSurvivesWrap)
     EXPECT_EQ(internTraceName("test.intern_b"), b);
     for (const auto &r : rec.snapshot())
         EXPECT_TRUE(r.name == a || r.name == b);
+}
+
+TEST(TraceNames, ReferencesSurviveLaterInterning)
+{
+    // Short names sit in the string object itself (SSO), so a table
+    // that moves its strings on growth would leave these dangling.
+    const std::uint16_t id = internTraceName("test.held");
+    const std::string &held = traceNameOf(id);
+    const std::string_view view = traceNameTable().at(id);
+    for (int i = 0; i < 1000; ++i)
+        internTraceName(("test.grow." + std::to_string(i)).c_str());
+    EXPECT_EQ(held, "test.held");
+    EXPECT_EQ(view, "test.held");
+
+    const auto table = traceNameTable();
+    ASSERT_EQ(table.size(), traceNameCount());
+    EXPECT_EQ(table[id], "test.held");
+    EXPECT_EQ(table[internTraceName("test.grow.999")], "test.grow.999");
 }
 
 TEST(TraceMacro, DisabledCategoriesRecordNothing)
