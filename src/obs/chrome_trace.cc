@@ -56,7 +56,8 @@ class ChromeBuilder
      * Sized for @p records records: at most one event each, plus at
      * most one dangling close per Begin, so the event vector never
      * regrows (a regrow copies every event). Pages it never reaches
-     * are never touched, so the bound costs no memory. The lane labels
+     * are never touched: the bound costs address space, not resident
+     * memory. The lane labels
      * are interned before the name table is taken, so the table
      * covers them.
      */
@@ -94,7 +95,7 @@ class ChromeBuilder
             ev.ph = 'i';
             ev.tid = tl.lanes[lane(pid, marks)].tid;
             ev.hasArgs = true;
-            tl.events.push_back(ev);
+            tl.events.push_back(std::move(ev));
             break;
           case TraceKind::Begin:
           case TraceKind::End: {
@@ -114,7 +115,7 @@ class ChromeBuilder
                 stack.pop_back();
                 ev.ph = 'E';
             }
-            tl.events.push_back(ev);
+            tl.events.push_back(std::move(ev));
             break;
           }
           case TraceKind::AsyncBegin:
@@ -126,7 +127,7 @@ class ChromeBuilder
             ev.tid = tl.lanes[lane(0, sessions)].tid;
             ev.id = r.session;
             ev.hasArgs = r.kind == TraceKind::AsyncBegin;
-            tl.events.push_back(ev);
+            tl.events.push_back(std::move(ev));
             break;
           case TraceKind::FlowStart:
           case TraceKind::FlowStep:
@@ -136,7 +137,7 @@ class ChromeBuilder
                                                     : 'f';
             ev.tid = tl.lanes[lane(pid, marks)].tid;
             ev.id = r.session;
-            tl.events.push_back(ev);
+            tl.events.push_back(std::move(ev));
             break;
           case TraceKind::CounterVal:
             ev.ph = 'C';
@@ -144,7 +145,7 @@ class ChromeBuilder
             ev.tid = 0;
             ev.hasValue = true;
             ev.value = std::bit_cast<double>(r.arg0);
-            tl.events.push_back(ev);
+            tl.events.push_back(std::move(ev));
             break;
         }
     }
@@ -172,7 +173,7 @@ class ChromeBuilder
                 ev.name = tl.lanes[l].name;
                 ev.cat = stack.back();
                 stack.pop_back();
-                tl.events.push_back(ev);
+                tl.events.push_back(std::move(ev));
             }
         }
         return std::move(tl);
@@ -214,14 +215,6 @@ buildChromeEvents(const std::vector<TraceRecord> &records)
     ChromeBuilder b(records.size());
     for (const TraceRecord &r : records)
         b.add(r);
-    return b.finish();
-}
-
-ChromeTimeline
-buildChromeEvents(const TraceRecorder &rec)
-{
-    ChromeBuilder b(rec.size());
-    rec.forEachRecord([&b](const TraceRecord &r) { b.add(r); });
     return b.finish();
 }
 
@@ -323,7 +316,9 @@ writeChromeTrace(std::ostream &os, const ChromeTimeline &tl)
 void
 writeChromeTrace(std::ostream &os, const TraceRecorder &rec)
 {
-    writeChromeTrace(os, buildChromeEvents(rec));
+    ChromeBuilder b(rec.size());
+    rec.forEachRecord([&b](const TraceRecord &r) { b.add(r); });
+    writeChromeTrace(os, b.finish());
 }
 
 } // namespace obs

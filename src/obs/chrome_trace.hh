@@ -90,13 +90,10 @@ struct ChromeTimeline
  */
 ChromeTimeline buildChromeEvents(const std::vector<TraceRecord> &records);
 
-/** Lower a recorder's held records in place (no snapshot copy). */
-ChromeTimeline buildChromeEvents(const TraceRecorder &rec);
-
 /** Serialize a built timeline as Chrome trace JSON. */
 void writeChromeTrace(std::ostream &os, const ChromeTimeline &tl);
 
-/** Convenience: build + serialize a recorder's held records. */
+/** Build + serialize a recorder's held records, read in place. */
 void writeChromeTrace(std::ostream &os, const TraceRecorder &rec);
 
 /** Escape a string for embedding in a JSON literal (no quotes added). */

@@ -117,7 +117,7 @@ printRecordJson(TextWriter &w, const std::vector<std::string_view> &names,
     w.put(", \"name\": \"");
     w.putJsonString(names[r.name]);
     w.put("\", \"cat\": \"");
-    w.put(std::string_view(traceCategoryName(r.category())));
+    w.put(traceCategoryName(r.category()));
     w.put("\", \"kind\": ");
     w.put(static_cast<int>(r.kind));
     w.put(", \"device\": ");
