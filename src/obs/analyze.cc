@@ -10,6 +10,7 @@
 #include "fleet/fleet_manager.hh"
 #include "metrics/efficiency.hh"
 #include "metrics/slo.hh"
+#include "obs/chrome_trace.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
@@ -502,16 +503,12 @@ void
 Analyzer::writeOutputs() const
 {
     if (!cfg.timelineCsvPath.empty()) {
-        std::ofstream os(cfg.timelineCsvPath);
-        if (!os)
-            fatal("cannot open timeline output '", cfg.timelineCsvPath, "'");
+        std::ofstream os = openExport(cfg.timelineCsvPath, "timeline");
         os << timelineCsv();
+        closeExport(os, cfg.timelineCsvPath, "timeline");
     }
     if (!cfg.timelineJsonPath.empty()) {
-        std::ofstream os(cfg.timelineJsonPath);
-        if (!os)
-            fatal("cannot open timeline output '", cfg.timelineJsonPath,
-                  "'");
+        std::ofstream os = openExport(cfg.timelineJsonPath, "timeline");
         os << "[\n";
         for (std::size_t i = 0; i < windows.size(); ++i) {
             const WindowStats &w = windows[i];
@@ -535,6 +532,7 @@ Analyzer::writeOutputs() const
             os << "]}" << (i + 1 < windows.size() ? "," : "") << "\n";
         }
         os << "]\n";
+        closeExport(os, cfg.timelineJsonPath, "timeline");
     }
 }
 

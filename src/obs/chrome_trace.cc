@@ -38,96 +38,124 @@ jsonEscape(std::string_view s)
     return out;
 }
 
+std::ofstream
+openExport(const std::string &path, const char *what)
+{
+    std::ofstream os(path);
+    if (!os)
+        fatal("cannot open ", what, " output '", path, "'");
+    return os;
+}
+
+void
+closeExport(std::ofstream &os, const std::string &path, const char *what)
+{
+    os.close();
+    if (!os)
+        fatal("cannot write ", what, " output '", path, "'");
+}
+
 namespace
 {
 
 constexpr std::uint32_t noLane = ~std::uint32_t(0);
 
 /**
- * Incremental lowering of records in capture order. Lanes live in a
- * dense (pid, name id) table; each lane carries the categories of its
- * open spans (all of one name, since a span lane is per name), so
- * orphan Ends can be dropped and dangling Begins closed.
+ * The lowering of records, in capture order, into Chrome events. Lanes
+ * live in a dense (pid, name id) table; each lane carries the
+ * categories of its open spans (all of one name, since a span lane is
+ * per name), so orphan Ends can be dropped and dangling Begins closed.
+ *
+ * place() is the record -> lane mapping: it numbers lanes in discovery
+ * order and tracks the process count and the last tick. lower() places
+ * the record (a lookup once placed) and hands its event, if any, to a
+ * sink. Placing is idempotent, so a caller may place every record
+ * first to learn the lanes before lowering any.
  */
-class ChromeBuilder
+class ChromeLowering
 {
   public:
-    /**
-     * Sized for @p records records: at most one event each, plus at
-     * most one dangling close per Begin, so the event vector never
-     * regrows (a regrow copies every event). Pages it never reaches
-     * are never touched: the bound costs address space, not resident
-     * memory. The lane labels
-     * are interned before the name table is taken, so the table
-     * covers them.
-     */
-    explicit ChromeBuilder(std::size_t records)
+    /** The lane labels are interned before the name table is taken,
+     *  so the table covers them. */
+    ChromeLowering()
         : marks(internTraceName("marks")),
           sessions(internTraceName("sessions")), names(traceNameTable())
     {
-        tl.events.reserve(2 * records);
     }
 
-    void
-    add(const TraceRecord &r)
+    /** The lane of @p r (noLane for counters), registered on first sight. */
+    std::uint32_t
+    place(const TraceRecord &r)
     {
-        const std::uint32_t pid =
-            r.device >= 0 ? static_cast<std::uint32_t>(r.device) + 1 : 0;
-        if (pid + 1 > tl.processCount)
-            tl.processCount = pid + 1;
+        const std::uint32_t pid = pidOf(r);
+        if (pid + 1 > procs)
+            procs = pid + 1;
         if (r.name >= names.size())
             panic("unknown interned trace name id ", r.name);
-        const double ts = toUsec(r.when);
-        if (ts > lastTs)
-            lastTs = ts;
+        if (r.when > lastTick)
+            lastTick = r.when;
+        switch (r.kind) {
+          case TraceKind::Instant:
+          case TraceKind::FlowStart:
+          case TraceKind::FlowStep:
+          case TraceKind::FlowEnd:
+            return lane(pid, marks);
+          case TraceKind::Begin:
+          case TraceKind::End:
+            // One lane per span name keeps the B/E stack discipline of
+            // a Chrome "thread" even when differently named spans
+            // overlap (execute vs. DMA engines, free-run vs. engage).
+            return lane(pid, r.name);
+          case TraceKind::AsyncBegin:
+          case TraceKind::AsyncEnd:
+            // Sessions live on the global track and overlap freely;
+            // the session id keys begin/end pairing.
+            return lane(0, sessions);
+          case TraceKind::CounterVal:
+            break;
+        }
+        return noLane;
+    }
 
+    /** Lower @p r and pass its event, if it has one, to @p emit. */
+    template <typename Sink>
+    void
+    lower(const TraceRecord &r, Sink &&emit)
+    {
+        const std::uint32_t l = place(r);
         ChromeEvent ev;
-        ev.ts = ts;
-        ev.pid = pid;
+        ev.ts = r.when;
+        ev.pid = pidOf(r);
         ev.name = names[r.name];
         ev.cat = traceCategoryName(r.category());
         ev.argPid = r.pid;
         ev.argA = r.arg0;
         ev.argB = r.arg1;
+        if (l != noLane)
+            ev.tid = laneList[l].tid;
 
         switch (r.kind) {
           case TraceKind::Instant:
             ev.ph = 'i';
-            ev.tid = tl.lanes[lane(pid, marks)].tid;
             ev.hasArgs = true;
-            tl.events.push_back(std::move(ev));
             break;
           case TraceKind::Begin:
-          case TraceKind::End: {
-            // One lane per span name keeps the B/E stack discipline of
-            // a Chrome "thread" even when differently named spans
-            // overlap (execute vs. DMA engines, free-run vs. engage).
-            const std::uint32_t l = lane(pid, r.name);
-            ev.tid = tl.lanes[l].tid;
-            auto &stack = open[l];
-            if (r.kind == TraceKind::Begin) {
-                ev.ph = 'B';
-                ev.hasArgs = true;
-                stack.push_back(ev.cat);
-            } else {
-                if (stack.empty())
-                    break; // orphan End: its Begin fell off the ring
-                stack.pop_back();
-                ev.ph = 'E';
-            }
-            tl.events.push_back(std::move(ev));
+            ev.ph = 'B';
+            ev.hasArgs = true;
+            open[l].push_back(ev.cat);
             break;
-          }
+          case TraceKind::End:
+            if (open[l].empty())
+                return; // orphan End: its Begin fell off the ring
+            open[l].pop_back();
+            ev.ph = 'E';
+            break;
           case TraceKind::AsyncBegin:
           case TraceKind::AsyncEnd:
-            // Sessions live on the global track and overlap freely;
-            // the session id keys begin/end pairing.
             ev.ph = r.kind == TraceKind::AsyncBegin ? 'b' : 'e';
             ev.pid = 0;
-            ev.tid = tl.lanes[lane(0, sessions)].tid;
             ev.id = r.session;
             ev.hasArgs = r.kind == TraceKind::AsyncBegin;
-            tl.events.push_back(std::move(ev));
             break;
           case TraceKind::FlowStart:
           case TraceKind::FlowStep:
@@ -135,52 +163,58 @@ class ChromeBuilder
             ev.ph = r.kind == TraceKind::FlowStart  ? 's'
                     : r.kind == TraceKind::FlowStep ? 't'
                                                     : 'f';
-            ev.tid = tl.lanes[lane(pid, marks)].tid;
             ev.id = r.session;
-            tl.events.push_back(std::move(ev));
             break;
           case TraceKind::CounterVal:
             ev.ph = 'C';
             ev.pid = 0;
-            ev.tid = 0;
             ev.hasValue = true;
             ev.value = std::bit_cast<double>(r.arg0);
-            tl.events.push_back(std::move(ev));
             break;
         }
+        emit(ev);
     }
 
-    /** Close spans still open at the last seen timestamp so viewers
-     *  don't stretch them to infinity, then hand the timeline over. */
-    ChromeTimeline
-    finish()
+    /** Close spans still open at the last seen tick, in (pid, tid)
+     *  order, so viewers don't stretch them to infinity. */
+    template <typename Sink>
+    void
+    closeDangling(Sink &&emit)
     {
-        std::vector<std::uint32_t> order(tl.lanes.size());
+        std::vector<std::uint32_t> order(laneList.size());
         std::iota(order.begin(), order.end(), 0u);
         std::sort(order.begin(), order.end(),
                   [this](std::uint32_t a, std::uint32_t b) {
-                      return std::pair(tl.lanes[a].pid, tl.lanes[a].tid) <
-                             std::pair(tl.lanes[b].pid, tl.lanes[b].tid);
+                      return std::pair(laneList[a].pid, laneList[a].tid) <
+                             std::pair(laneList[b].pid, laneList[b].tid);
                   });
         for (const std::uint32_t l : order) {
             auto &stack = open[l];
             while (!stack.empty()) {
                 ChromeEvent ev;
                 ev.ph = 'E';
-                ev.ts = lastTs;
-                ev.pid = tl.lanes[l].pid;
-                ev.tid = tl.lanes[l].tid;
-                ev.name = tl.lanes[l].name;
+                ev.ts = lastTick;
+                ev.pid = laneList[l].pid;
+                ev.tid = laneList[l].tid;
+                ev.name = laneList[l].name;
                 ev.cat = stack.back();
                 stack.pop_back();
-                tl.events.push_back(std::move(ev));
+                emit(ev);
             }
         }
-        return std::move(tl);
     }
 
+    const std::vector<ChromeLane> &lanes() const { return laneList; }
+    std::uint32_t processCount() const { return procs; }
+
   private:
-    /** Index into tl.lanes of (pid, name); tids count up per pid. */
+    static std::uint32_t
+    pidOf(const TraceRecord &r)
+    {
+        return r.device >= 0 ? static_cast<std::uint32_t>(r.device) + 1 : 0;
+    }
+
+    /** Index into laneList of (pid, name); tids count up per pid. */
     std::uint32_t
     lane(std::uint32_t pid, std::uint16_t name)
     {
@@ -190,8 +224,8 @@ class ChromeBuilder
         }
         std::uint32_t &l = laneOf[pid * names.size() + name];
         if (l == noLane) {
-            l = static_cast<std::uint32_t>(tl.lanes.size());
-            tl.lanes.push_back({pid, nextTid[pid]++, names[name]});
+            l = static_cast<std::uint32_t>(laneList.size());
+            laneList.push_back({pid, nextTid[pid]++, names[name]});
             open.emplace_back();
         }
         return l;
@@ -200,8 +234,9 @@ class ChromeBuilder
     std::uint16_t marks;
     std::uint16_t sessions;
     std::vector<std::string_view> names; ///< by interned id
-    ChromeTimeline tl;
-    double lastTs = 0.0;
+    std::vector<ChromeLane> laneList;
+    std::uint32_t procs = 1;             ///< pids 0..procs-1 in use
+    Tick lastTick = 0;
     std::vector<std::uint32_t> nextTid;  ///< per pid
     std::vector<std::uint32_t> laneOf;   ///< [pid * names + name id]
     std::vector<std::vector<std::string_view>> open; ///< per lane: cats
@@ -212,10 +247,18 @@ class ChromeBuilder
 ChromeTimeline
 buildChromeEvents(const std::vector<TraceRecord> &records)
 {
-    ChromeBuilder b(records.size());
+    ChromeLowering low;
+    ChromeTimeline tl;
+    // At most one event per record plus one close per Begin: the list
+    // never regrows (a regrow copies every event).
+    tl.events.reserve(2 * records.size());
+    const auto keep = [&tl](const ChromeEvent &e) { tl.events.push_back(e); };
     for (const TraceRecord &r : records)
-        b.add(r);
-    return b.finish();
+        low.lower(r, keep);
+    low.closeDangling(keep);
+    tl.processCount = low.processCount();
+    tl.lanes = low.lanes();
+    return tl;
 }
 
 namespace
@@ -230,8 +273,11 @@ writeEvent(TextWriter &w, const ChromeEvent &e)
     w.putJsonString(e.cat);
     w.put("\",\"ph\":\"");
     w.put(e.ph);
+    // All three fractional digits of a microsecond timestamp print:
+    // rounding them would merge the timestamps of multi-second runs
+    // and break per-track monotonicity in the viewer.
     w.put("\",\"ts\":");
-    w.put(e.ts);
+    w.putUsec(e.ts);
     w.put(",\"pid\":");
     w.put(e.pid);
     w.put(",\"tid\":");
@@ -279,46 +325,71 @@ writeMeta(TextWriter &w, std::string_view what, std::uint32_t pid,
     w.put("\"}}");
 }
 
+/**
+ * The JSON around the events: the header names every process and lane
+ * (so they must all be known first), then each event follows ",\n"
+ * (there is always at least one process entry before it).
+ */
+class ChromeJson
+{
+  public:
+    ChromeJson(std::ostream &os, std::uint32_t processCount,
+               const std::vector<ChromeLane> &lanes)
+        : w(os)
+    {
+        w.put("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+        for (std::uint32_t pid = 0; pid < processCount; ++pid) {
+            if (pid)
+                w.put(",\n");
+            const std::string pname =
+                pid == 0 ? std::string("fleet")
+                         : "device" + std::to_string(pid - 1);
+            writeMeta(w, "process_name", pid, 0, false, pname);
+        }
+        for (const auto &lane : lanes) {
+            w.put(",\n");
+            writeMeta(w, "thread_name", lane.pid, lane.tid, true, lane.name);
+        }
+    }
+
+    void
+    operator()(const ChromeEvent &e)
+    {
+        w.put(",\n");
+        writeEvent(w, e);
+    }
+
+    void
+    finish()
+    {
+        w.put("\n]}\n");
+        w.flush();
+    }
+
+  private:
+    TextWriter w;
+};
+
 } // namespace
 
 void
 writeChromeTrace(std::ostream &os, const ChromeTimeline &tl)
 {
-    // Timestamps print at 15 significant digits: 6 would round the
-    // microsecond timestamps of multi-second runs onto each other and
-    // break per-track monotonicity in the viewer.
-    TextWriter w(os);
-    w.put("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    bool first = true;
-    for (std::uint32_t pid = 0; pid < tl.processCount; ++pid) {
-        if (!first)
-            w.put(",\n");
-        first = false;
-        const std::string pname =
-            pid == 0 ? std::string("fleet")
-                     : "device" + std::to_string(pid - 1);
-        writeMeta(w, "process_name", pid, 0, false, pname);
-    }
-    for (const auto &lane : tl.lanes) {
-        w.put(",\n");
-        writeMeta(w, "thread_name", lane.pid, lane.tid, true, lane.name);
-    }
-    for (const auto &e : tl.events) {
-        if (!first)
-            w.put(",\n");
-        first = false;
-        writeEvent(w, e);
-    }
-    w.put("\n]}\n");
-    w.flush();
+    ChromeJson out(os, tl.processCount, tl.lanes);
+    for (const auto &e : tl.events)
+        out(e);
+    out.finish();
 }
 
 void
 writeChromeTrace(std::ostream &os, const TraceRecorder &rec)
 {
-    ChromeBuilder b(rec.size());
-    rec.forEachRecord([&b](const TraceRecord &r) { b.add(r); });
-    writeChromeTrace(os, b.finish());
+    ChromeLowering low;
+    rec.forEachRecord([&low](const TraceRecord &r) { low.place(r); });
+    ChromeJson out(os, low.processCount(), low.lanes());
+    rec.forEachRecord([&](const TraceRecord &r) { low.lower(r, out); });
+    low.closeDangling(out);
+    out.finish();
 }
 
 } // namespace obs

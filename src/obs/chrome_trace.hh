@@ -11,16 +11,19 @@
  * tracks (admission -> migrations -> departure), and counter tracks
  * from sampled metrics.
  *
- * Export is two-stage on purpose: buildChromeEvents() produces an
- * inspectable intermediate event list (what the integration tests
- * check for track-monotonic timestamps and span pairing) and
- * writeChromeTrace() merely serializes it.
+ * One lowering turns records into events, and it has two sinks.
+ * buildChromeEvents() collects the events into an inspectable list
+ * (what the tests check for track-monotonic timestamps and span
+ * pairing); writeChromeTrace(os, recorder) streams them straight from
+ * the ring into the JSON text. The stream reads the ring twice in
+ * place: pass 1 numbers the lanes (the header names them before any
+ * event), pass 2 lowers and writes each event. No event list is built.
  *
- * Exports run to tens of megabytes per run, so neither stage allocates
+ * Exports run to tens of megabytes per run, so nothing is allocated
  * per record: names are views into the process-lifetime intern table
  * (taken once per export), lanes and span stacks are dense tables
- * keyed by (pid, interned name id), and serialization goes through
- * TextWriter instead of ostream formatting.
+ * keyed by (pid, interned name id), timestamps stay integer ticks, and
+ * serialization goes through TextWriter instead of ostream formatting.
  */
 
 #ifndef NEON_OBS_CHROME_TRACE_HH
@@ -31,6 +34,7 @@
 #include <concepts>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -47,7 +51,7 @@ namespace obs
 struct ChromeEvent
 {
     char ph = 'i';          ///< B/E/i/b/e/s/t/f/C
-    double ts = 0.0;        ///< microseconds
+    Tick ts = 0;            ///< virtual time; printed in microseconds
     std::uint32_t pid = 0;  ///< device track (device + 1; 0 = global)
     std::uint32_t tid = 0;  ///< lane within the track
     std::string_view name;  ///< interned trace-point name
@@ -93,11 +97,25 @@ ChromeTimeline buildChromeEvents(const std::vector<TraceRecord> &records);
 /** Serialize a built timeline as Chrome trace JSON. */
 void writeChromeTrace(std::ostream &os, const ChromeTimeline &tl);
 
-/** Build + serialize a recorder's held records, read in place. */
+/**
+ * Lower and serialize a recorder's held records, streamed from the
+ * ring in place. Byte-identical to serializing
+ * buildChromeEvents(rec.snapshot()).
+ */
 void writeChromeTrace(std::ostream &os, const TraceRecorder &rec);
 
 /** Escape a string for embedding in a JSON literal (no quotes added). */
 std::string jsonEscape(std::string_view s);
+
+/** Open @p path for writing the @p what export, or fatal(). */
+std::ofstream openExport(const std::string &path, const char *what);
+
+/**
+ * Close an export opened by openExport() and fatal() if any write to
+ * it failed, so a full disk never leaves a silently truncated file.
+ */
+void closeExport(std::ofstream &os, const std::string &path,
+                 const char *what);
 
 /**
  * Buffered text writer for the exports. It formats straight into a
@@ -155,6 +173,37 @@ class TextWriter
               buf.data();
     }
 
+    /**
+     * Tick @p t (nanoseconds) in microseconds, exactly as put(toUsec(t))
+     * prints it, but from integers: t / 1000, then '.' and the three
+     * remainder digits with trailing zeros stripped. For 0 <= t < 10^15
+     * the quotient has at most 15 significant digits, so "%.15g" of the
+     * double prints the same decimal; outside that range this takes
+     * the double path.
+     */
+    void
+    putUsec(Tick t)
+    {
+        if (t < 0 || t >= maxExactUsecTick) {
+            put(toUsec(t));
+            return;
+        }
+        room(maxNumber);
+        char *p = std::to_chars(buf.data() + len, buf.data() + chunk,
+                                t / 1000)
+                      .ptr;
+        if (const int rem = static_cast<int>(t % 1000)) {
+            *p++ = '.';
+            *p++ = static_cast<char>('0' + rem / 100);
+            if (rem % 100) {
+                *p++ = static_cast<char>('0' + rem / 10 % 10);
+                if (rem % 10)
+                    *p++ = static_cast<char>('0' + rem % 10);
+            }
+        }
+        len = static_cast<std::size_t>(p - buf.data());
+    }
+
     /** A JSON string body, escaped only if @p s holds a special. */
     void
     putJsonString(std::string_view s)
@@ -177,6 +226,7 @@ class TextWriter
   private:
     static constexpr std::size_t chunk = std::size_t(1) << 20;
     static constexpr std::size_t maxNumber = 32; ///< >= any to_chars above
+    static constexpr Tick maxExactUsecTick = 1'000'000'000'000'000;
 
     void
     room(std::size_t n)

@@ -139,28 +139,24 @@ void
 Observer::writeOutputs()
 {
     if (!cfg.tracePath.empty()) {
-        std::ofstream os(cfg.tracePath);
-        if (!os)
-            fatal("cannot open trace output '", cfg.tracePath, "'");
+        std::ofstream os = openExport(cfg.tracePath, "trace");
         writeChromeTrace(os, ring);
+        closeExport(os, cfg.tracePath, "trace");
     }
     if (!cfg.countersCsvPath.empty()) {
-        std::ofstream os(cfg.countersCsvPath);
-        if (!os)
-            fatal("cannot open counters output '", cfg.countersCsvPath, "'");
+        std::ofstream os = openExport(cfg.countersCsvPath, "counters");
         registry.printCsv(os);
+        closeExport(os, cfg.countersCsvPath, "counters");
     }
     if (!cfg.recordsJsonlPath.empty()) {
-        std::ofstream os(cfg.recordsJsonlPath);
-        if (!os)
-            fatal("cannot open records output '", cfg.recordsJsonlPath,
-                  "'");
+        std::ofstream os = openExport(cfg.recordsJsonlPath, "records");
         const std::vector<std::string_view> names = traceNameTable();
         TextWriter w(os);
         ring.forEachRecord([&](const TraceRecord &r) {
             printRecordJson(w, names, r);
         });
         w.flush();
+        closeExport(os, cfg.recordsJsonlPath, "records");
     }
 }
 

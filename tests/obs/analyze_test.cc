@@ -249,6 +249,26 @@ TEST(Analyze, TimelineDeterministicAcrossRepeats)
     EXPECT_EQ(run_csv(), base);
 }
 
+TEST(Analyze, TimelineWriteFailureIsFatal)
+{
+    // /dev/full opens fine and fails every write: the timeline export
+    // must not leave a silently truncated file.
+    ExperimentConfig cfg;
+    cfg.sched = SchedKind::DisengagedFq;
+    cfg.fleet.devices = 2;
+    cfg.serve.slotsPerDevice = 2;
+    cfg.measure = msec(200);
+    cfg.observe.analyze.window = msec(50);
+    cfg.observe.analyze.timelineCsvPath = "/dev/full";
+    const std::vector<ServeWorkloadSpec> specs = {
+        {WorkloadSpec::throttle(usec(150)),
+         ArrivalSpec::poisson(50.0, msec(150)),
+         LifetimeSpec::fixed(msec(40))},
+    };
+    EXPECT_DEATH(ServeRunner(cfg).run(specs, false),
+                 "cannot write timeline output '/dev/full'");
+}
+
 TEST(Analyze, PhaseTrackerChargesTransitionsExactly)
 {
     // Synthetic lifecycle walking every state: arrive -> admit ->

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the Chrome trace-event export: lane assignment, span
  * pairing (orphan Ends dropped, dangling Begins closed), async/flow
- * binding by session id, counter values, and JSON well-formedness.
+ * binding by session id, counter values, JSON well-formedness, and
+ * byte equality of the streamed and the built export on a wrapped ring.
  */
 
 #include <gtest/gtest.h>
@@ -107,7 +108,7 @@ TEST(ChromeTrace, DanglingBeginClosedAtLastTimestamp)
             close = &e;
     }
     ASSERT_NE(close, nullptr);
-    EXPECT_DOUBLE_EQ(close->ts, toUsec(usec(9)));
+    EXPECT_EQ(close->ts, usec(9));
     expectTrackMonotone(tl);
 }
 
@@ -210,6 +211,63 @@ TEST(ChromeTrace, WriterEmitsBalancedJsonWithTrackMetadata)
     EXPECT_NE(out.find("\"device0\""), std::string::npos);
     EXPECT_NE(out.find("\"device1\""), std::string::npos);
     EXPECT_NE(out.find("mark \\\"quoted\\\""), std::string::npos);
+}
+
+TEST(ChromeTrace, StreamedRingMatchesBuiltTimelineAfterWrap)
+{
+    // A wrapped 64-record ring on four tracks: the early spans' Begins
+    // fall off (their Ends are orphans), the late spans never end
+    // (closed at the last tick), and instants, async sessions, flows
+    // and counters ride along. Streaming from the ring and serializing
+    // the built timeline must give the same bytes.
+    TraceRecorder ring(64);
+    Tick now = 0;
+    const auto push = [&](const char *name, TraceKind kind,
+                          std::int16_t device, std::int64_t a0 = 0,
+                          std::int32_t session = -1) {
+        now += 1237; // not a whole microsecond
+        ring.push(rec(now, name, kind, device, a0, -7, session));
+    };
+    for (std::int16_t d = 0; d < 3; ++d)
+        push("span.early", TraceKind::Begin, d);
+    for (std::int32_t i = 0; i < 40; ++i) {
+        const auto d = static_cast<std::int16_t>(i % 4 - 1);
+        const auto next = static_cast<std::int16_t>((i + 1) % 3);
+        push("session", TraceKind::AsyncBegin, -1, i, i);
+        push("span.work", TraceKind::Begin, d, i);
+        push("mark", TraceKind::Instant, d, i);
+        push("session.flow", TraceKind::FlowStart, d, 0, i);
+        push("session.flow", TraceKind::FlowStep, next, 0, i);
+        push("span.work", TraceKind::End, d);
+        push("queue_depth", TraceKind::CounterVal, -1,
+             std::bit_cast<std::int64_t>(i * 0.3));
+        push("session.flow", TraceKind::FlowEnd, next, 0, i);
+        push("session", TraceKind::AsyncEnd, next, 0, i);
+    }
+    for (std::int16_t d = 0; d < 3; ++d)
+        push("span.early", TraceKind::End, d);
+    for (std::int16_t d = 2; d >= 0; --d)
+        push("span.late", TraceKind::Begin, d);
+    ASSERT_GT(ring.dropped(), 0u);
+
+    const ChromeTimeline tl = buildChromeEvents(ring.snapshot());
+    EXPECT_EQ(tl.processCount, 4u);
+    std::size_t lateCloses = 0;
+    for (const auto &e : tl.events) {
+        EXPECT_NE(e.name, "span.early") << "orphan End emitted";
+        if (e.name == "span.late" && e.ph == 'E') {
+            EXPECT_EQ(e.ts, now);
+            ++lateCloses;
+        }
+    }
+    EXPECT_EQ(lateCloses, 3u);
+    expectTrackMonotone(tl);
+
+    std::ostringstream streamed, built;
+    writeChromeTrace(streamed, ring);
+    writeChromeTrace(built, tl);
+    expectBalancedJson(streamed.str());
+    EXPECT_EQ(streamed.str(), built.str());
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the export text formatting: TextWriter prints numbers
- * exactly as an ostream at precision(15) does (the format the exports
- * have always had), and records.jsonl escapes trace-point names so
- * every line stays valid JSON.
+ * (and integer ticks as microseconds) exactly as an ostream at
+ * precision(15) does (the format the exports have always had),
+ * records.jsonl escapes trace-point names so every line stays valid
+ * JSON, and a failed export write is fatal.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +18,12 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/chrome_trace.hh"
 #include "obs/observe.hh"
@@ -63,6 +67,54 @@ TEST(TextWriter, DoublesMatchOstreamAtPrecision15)
           counter, toUsec(sec(1234) + 7), 0.1 + 0.2}) {
         EXPECT_EQ(viaWriter(v), viaStream(v)) << "value " << viaStream(v);
     }
+}
+
+/**
+ * putUsec(t) against an ostream at precision(15) printing toUsec(t),
+ * for each of @p ticks. One writer and one stream print all of them, a
+ * line each; the first differing line names the tick.
+ */
+void
+expectUsecMatchesStream(const std::vector<Tick> &ticks)
+{
+    std::ostringstream viaW, viaS;
+    viaS.precision(15);
+    TextWriter w(viaW);
+    for (const Tick t : ticks) {
+        w.putUsec(t);
+        w.put('\n');
+        viaS << toUsec(t) << '\n';
+    }
+    w.flush();
+    if (viaW.str() == viaS.str())
+        return;
+    std::istringstream a(viaW.str()), b(viaS.str());
+    std::string la, lb;
+    for (const Tick t : ticks) {
+        std::getline(a, la);
+        std::getline(b, lb);
+        ASSERT_EQ(la, lb) << "tick " << t;
+    }
+}
+
+TEST(TextWriter, UsecMatchesOstreamAtPrecision15)
+{
+    // Every tick below two milliseconds.
+    std::vector<Tick> ticks(2'000'000);
+    std::iota(ticks.begin(), ticks.end(), Tick{0});
+    expectUsecMatchesStream(ticks);
+
+    // Seeded random ticks across the whole integer-path range.
+    std::mt19937_64 rng(20140301);
+    std::uniform_int_distribution<Tick> below(0, 999'999'999'999'999);
+    ticks.resize(1'000'000);
+    for (Tick &t : ticks)
+        t = below(rng);
+    expectUsecMatchesStream(ticks);
+
+    // The boundaries; the last three take the double path.
+    expectUsecMatchesStream({999, 1000, 1001, 999'999'999'999'999,
+                             1'000'000'000'000'000, maxTick, -1});
 }
 
 TEST(TextWriter, IntegersMatchOstream)
@@ -210,6 +262,24 @@ TEST(RecordsJsonl, QuotedNameYieldsValidJsonLine)
     EXPECT_EQ(obj["session"], "3");
     EXPECT_EQ(obj["arg0"], "-4");
     EXPECT_EQ(obj["arg1"], "5");
+}
+
+TEST(ExportFiles, TraceWriteFailureIsFatal)
+{
+    // /dev/full opens fine and fails every write: the export must not
+    // leave a silently truncated file.
+    EventQueue eq;
+    ObserveConfig cfg;
+    cfg.categories = defaultTraceCategories;
+    cfg.tracePath = "/dev/full";
+    EXPECT_DEATH(
+        {
+            Observer observer(eq, cfg);
+            NEON_TRACE(TraceCategory::Serve, TraceKind::Instant, "mark",
+                       (TraceIds{0, 1, 2}), 3, 4);
+            observer.writeOutputs();
+        },
+        "cannot write trace output '/dev/full'");
 }
 
 } // namespace
