@@ -6,6 +6,8 @@
 
 #include "common.hh"
 
+#include <numeric>
+
 #include "metrics/efficiency.hh"
 
 using namespace neonbench;
@@ -19,6 +21,9 @@ main()
     const std::vector<std::string> apps = {"DCT", "FFT", "glxgears",
                                            "oclParticles"};
     const std::vector<double> sizes_us = {19, 106, 430, 1700};
+
+    // Every cell's efficiency per scheduler, in grid order.
+    std::map<SchedKind, std::vector<double>> cells;
 
     for (const auto &app : apps) {
         std::cout << app << " vs Throttle — concurrency efficiency\n";
@@ -37,6 +42,7 @@ main()
                 const double eff = concurrencyEfficiency(
                     {solo.roundUs(wa), solo.roundUs(wt)},
                     {r.tasks[0].meanRoundUs, r.tasks[1].meanRoundUs});
+                cells[kind].push_back(eff);
                 row.push_back(Table::num(eff, 2));
             }
             table.addRow(std::move(row));
@@ -44,6 +50,29 @@ main()
         table.print();
         std::cout << "\n";
     }
+
+    // The paper's headline: each scheduler's mean efficiency over the
+    // 16 cells, relative to direct access's mean over the same cells.
+    const auto mean = [](const std::vector<double> &v) {
+        return std::accumulate(v.begin(), v.end(), 0.0) / v.size();
+    };
+    const double direct = mean(cells[SchedKind::Direct]);
+    const std::vector<std::pair<SchedKind, const char *>> paper_loss = {
+        {SchedKind::Timeslice, "~19%"},
+        {SchedKind::DisengagedTimeslice, "~10%"},
+        {SchedKind::DisengagedFq, "~4%"},
+    };
+    std::cout << "Mean efficiency over the "
+              << cells[SchedKind::Direct].size()
+              << " cells, relative to direct access:\n";
+    for (const auto &[kind, paper] : paper_loss) {
+        const double rel = mean(cells[kind]) / direct;
+        std::cout << "  " << schedKindName(kind) << ": "
+                  << Table::num(rel, 2) << " (loss "
+                  << Table::num(100.0 * (1.0 - rel), 1)
+                  << "%; paper: " << paper << ")\n";
+    }
+    std::cout << "\n";
 
     std::cout << "Paper shape: direct access sits near 1.0 (below for "
                  "small requests due to\ncontext switching); engaged "

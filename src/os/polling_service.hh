@@ -15,6 +15,7 @@
 #include <functional>
 
 #include "sim/event_queue.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace neon
@@ -36,10 +37,17 @@ class PollingService
 
     Tick period() const { return pollPeriod; }
 
-    /** Change the period; re-arms the pending tick if running. */
+    /**
+     * Change the period; re-arms the pending tick if running. A period
+     * that is not positive would re-poll at the same tick forever, so
+     * it is a fatal configuration error.
+     */
     void
     setPeriod(Tick p)
     {
+        if (p <= 0)
+            fatal("pollPeriod = ", p, ": the polling period must be "
+                  "positive");
         pollPeriod = p;
         if (running && pending != invalidEventId) {
             eq.cancel(pending);

@@ -12,6 +12,12 @@ TimesliceScheduler::TimesliceScheduler(KernelModule &kernel,
                                        const TimesliceConfig &cfg)
     : Scheduler(kernel), cfg(cfg)
 {
+    // A zero slice expires at the tick it is granted: the engaged
+    // variant never gets past its first slice edge and the disengaged
+    // one hands out almost no device time.
+    if (cfg.slice <= 0)
+        fatal("timeslice.slice = ", cfg.slice,
+              ": the timeslice must be positive");
 }
 
 Tick

@@ -1,11 +1,13 @@
 /**
  * @file
  * Integration: fairness guarantees across schedulers and request-size
- * combinations (property-style sweeps over the Figure 6 grid).
+ * combinations (property-style sweeps over the Figure 6 grid), and the
+ * Figure 7 efficiency ordering over the same grid.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <tuple>
 
 #include "harness/experiment.hh"
@@ -168,6 +170,53 @@ TEST(NonsaturatingFairness, DfqIsWorkConservingTimesliceIsNot)
     const double eff_ts = 1.0 / sd_ts[0] + 1.0 / sd_ts[1];
     const double eff_dfq = 1.0 / sd_dfq[0] + 1.0 / sd_dfq[1];
     EXPECT_GT(eff_dfq, eff_ts + 0.3);
+}
+
+TEST(EfficiencyPairs, EngagedTimesliceIsLeastEfficientOverFigure7Grid)
+{
+    // Figure 7: the four apps against Throttle at four request sizes.
+    // Each scheduler's concurrency efficiency summed over the 16 cells
+    // is taken relative to direct access's sum over the same cells.
+    // Engaged Timeslice pays interception on every request, so it must
+    // lose more than both disengaged schedulers (paper: ~19% against
+    // ~10% and ~4%).
+    const std::vector<std::string> apps = {"DCT", "FFT", "glxgears",
+                                           "oclParticles"};
+    const std::vector<int> sizes_us = {19, 106, 430, 1700};
+
+    ExperimentConfig cfg;
+    cfg.warmup = msec(100);
+    cfg.measure = msec(500);
+
+    std::map<SchedKind, double> sum;
+    for (const auto &app : apps) {
+        for (int us : sizes_us) {
+            const std::vector<WorkloadSpec> pair = {
+                WorkloadSpec::app(app),
+                WorkloadSpec::throttle(usec(us)),
+            };
+            const ExperimentRunner solo(cfg);
+            const std::vector<double> solo_us = {
+                solo.soloRoundUs(pair[0]), solo.soloRoundUs(pair[1])};
+
+            for (SchedKind kind : paperSchedulers) {
+                cfg.sched = kind;
+                const RunResult r = ExperimentRunner(cfg).run(pair);
+                sum[kind] += concurrencyEfficiency(
+                    solo_us,
+                    {r.tasks[0].meanRoundUs, r.tasks[1].meanRoundUs});
+            }
+        }
+    }
+
+    const auto rel = [&](SchedKind kind) {
+        return sum[kind] / sum[SchedKind::Direct];
+    };
+    const double ts = rel(SchedKind::Timeslice);
+    EXPECT_LT(ts, rel(SchedKind::DisengagedTimeslice))
+        << "engaged Timeslice no less efficient than Disengaged Timeslice";
+    EXPECT_LT(ts, rel(SchedKind::DisengagedFq))
+        << "engaged Timeslice no less efficient than DFQ";
 }
 
 } // namespace

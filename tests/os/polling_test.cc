@@ -98,5 +98,16 @@ TEST(PollingService, DoubleStartIsHarmless)
     EXPECT_EQ(count, 2);
 }
 
+TEST(PollingService, NonPositivePeriodIsFatal)
+{
+    // A zero period would re-poll at the same tick forever.
+    EventQueue eq;
+    PollingService poll(eq, msec(1));
+    EXPECT_EXIT(poll.setPeriod(0), testing::ExitedWithCode(1),
+                "pollPeriod = 0: the polling period must be positive");
+    EXPECT_EXIT(poll.setPeriod(-1), testing::ExitedWithCode(1),
+                "pollPeriod = -1");
+}
+
 } // namespace
 } // namespace neon

@@ -165,5 +165,13 @@ TEST(DisengagedTimeslice, EfficiencyBeatsEngagedTimeslice)
     EXPECT_GT(eff_d, eff_e + 0.05);
 }
 
+TEST(DisengagedTimeslice, ZeroSliceIsRejectedAtConstruction)
+{
+    ExperimentConfig cfg = dtsConfig();
+    cfg.timeslice.slice = 0;
+    EXPECT_EXIT(World world(cfg), testing::ExitedWithCode(1),
+                "timeslice.slice = 0: the timeslice must be positive");
+}
+
 } // namespace
 } // namespace neon

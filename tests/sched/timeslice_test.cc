@@ -164,5 +164,13 @@ TEST(Timeslice, TokenRotatesAmongThreeTasks)
     }
 }
 
+TEST(Timeslice, ZeroSliceIsRejectedAtConstruction)
+{
+    ExperimentConfig cfg = tsConfig();
+    cfg.timeslice.slice = 0;
+    EXPECT_EXIT(World world(cfg), testing::ExitedWithCode(1),
+                "timeslice.slice = 0: the timeslice must be positive");
+}
+
 } // namespace
 } // namespace neon
