@@ -1,6 +1,6 @@
 /**
  * @file
- * Absolute golden fingerprints of three representative runs.
+ * Absolute golden fingerprints of representative runs.
  *
  * The other determinism pins are relative (repeat vs repeat, all-off
  * vs configured, traced vs untraced), so a change that reorders
@@ -8,7 +8,7 @@
  * pin the exact digests: every per-session / per-task record, the
  * whole-run counters and the executed event count. A performance
  * change to the event core, the device meter or the kernel must leave
- * all three unchanged. A deliberate behaviour change updates the
+ * all of them unchanged. A deliberate behaviour change updates the
  * constants and says why.
  */
 
@@ -22,6 +22,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/serve_runner.hh"
+#include "workload/adversary.hh"
 
 namespace neon
 {
@@ -218,6 +219,137 @@ TEST(GoldenFingerprint, PaperPairUnderEachPaperScheduler)
         EXPECT_EQ(pairDigest(paperSchedulers[i]), expected[i])
             << schedKindName(paperSchedulers[i]);
     }
+}
+
+TEST(GoldenFingerprint, PaperPairUnderEngagedFq)
+{
+    // Not a paper policy, so the grid above leaves it unpinned.
+    EXPECT_EQ(pairDigest(SchedKind::EngagedFq), "0c628105f6b6e240");
+}
+
+TEST(GoldenFingerprint, ClosedHeterogeneousFleet)
+{
+    ExperimentConfig cfg;
+    cfg.sched = SchedKind::DisengagedFq;
+    cfg.fleet.devices = 4;
+    cfg.fleet.placement = PlacementKind::HeterogeneityAware;
+    cfg.fleet.speedFactors = {1.5, 1.0, 0.5, 1.25};
+    cfg.measure = msec(600);
+    cfg.seed = 7;
+
+    std::vector<WorkloadSpec> mix;
+    for (const char *app : {"DCT", "BinarySearch", "FFT"})
+        mix.push_back(WorkloadSpec::app(app));
+    for (int us : {19, 100, 430})
+        mix.push_back(WorkloadSpec::throttle(usec(us)));
+    mix.push_back(WorkloadSpec::throttle(usec(1700)).withDemand(2.0));
+    const FleetRunResult r = FleetRunner(cfg).run(mix);
+    EXPECT_TRUE(r.audit.clean()) << r.audit.summary();
+
+    Fingerprint fp;
+    for (const FleetTaskResult &t : r.tasks) {
+        fp.add(t.label).add(std::uint64_t(t.device)).add(t.pid);
+        fp.add(t.meanRoundUs).add(t.rounds).add(t.gpuBusy);
+        fp.add(t.requests).add(t.killed);
+    }
+    for (Tick b : r.deviceBusy)
+        fp.add(b);
+    fp.add(r.elapsed).add(r.requests).add(r.switchOverhead).add(r.kills);
+    fp.add(r.throughputRps).add(r.fairness.taskFairness);
+    fp.add(r.fairness.deviceBalance).add(r.fairness.vtimeSpreadMs);
+    EXPECT_EQ(fp.hex(), "25621ec13ba3071c");
+}
+
+TEST(GoldenFingerprint, WatchdogKillsHogThenHangOnOneDevice)
+{
+    ExperimentConfig cfg;
+    cfg.sched = SchedKind::DisengagedFq;
+    cfg.dfq.killThreshold = sec(30);
+    cfg.fault.watchdog.enabled = true;
+    cfg.fault.watchdog.checkPeriod = msec(2);
+    cfg.fault.watchdog.hangTimeout = msec(30);
+    cfg.fault.watchdog.runawayTimeout = msec(150);
+    cfg.warmup = msec(50);
+    cfg.measure = msec(800);
+    cfg.seed = 13;
+
+    World world(cfg);
+    world.spawn(WorkloadSpec::custom(
+        "hogThenHang", [](Task &t, std::uint64_t) {
+            return hogThenHangBody(t, 40, msec(2));
+        }));
+    world.spawn(WorkloadSpec::throttle(usec(430)));
+    world.spawn(WorkloadSpec::app("DCT"));
+    world.start();
+    world.runFor(cfg.warmup);
+    world.beginMeasurement();
+    world.runFor(cfg.measure);
+    const RunResult r = world.results();
+    EXPECT_TRUE(r.audit.clean()) << r.audit.summary();
+
+    Fingerprint fp;
+    for (const TaskResult &t : r.tasks) {
+        fp.add(t.label).add(t.pid).add(t.meanRoundUs).add(t.rounds);
+        fp.add(t.gpuBusy).add(t.requests).add(t.killed);
+    }
+    fp.add(r.elapsed).add(r.deviceBusy).add(r.switchOverhead).add(r.kills);
+    ASSERT_NE(world.watchdog, nullptr);
+    ASSERT_EQ(world.watchdog->killLog().size(), 1u);
+    for (const WatchdogKill &k : world.watchdog->killLog()) {
+        fp.add(k.pid).add(std::uint64_t(k.device));
+        fp.add(std::uint64_t(k.cause)).add(k.at).add(k.latency);
+    }
+    fp.add(world.watchdog->scans());
+    fp.add(world.eq.executed());
+    EXPECT_EQ(fp.hex(), "a09c8fb12ba33b2a");
+}
+
+void
+addAccum(Fingerprint &fp, const Accum &a)
+{
+    fp.add(a.count()).add(a.total()).add(a.mean());
+    fp.add(a.minimum()).add(a.maximum()).add(a.variance());
+}
+
+void
+addHistogram(Fingerprint &fp, const Log2Histogram &h)
+{
+    for (unsigned b = 0; b <= h.maxBin(); ++b)
+        fp.add(h.binCount(b));
+}
+
+TEST(GoldenFingerprint, CollectedRequestTraces)
+{
+    ExperimentConfig cfg;
+    cfg.sched = SchedKind::DisengagedTimeslice;
+    cfg.collectTraces = true;
+    cfg.measure = msec(500);
+    cfg.seed = 17;
+
+    World world(cfg);
+    std::vector<int> pids;
+    for (const char *app : {"DCT", "glxgears", "FFT"})
+        pids.push_back(world.spawn(WorkloadSpec::app(app)).pid());
+    pids.push_back(world.spawn(WorkloadSpec::throttle(usec(100))).pid());
+    world.start();
+    world.runFor(cfg.warmup);
+    world.beginMeasurement();
+    world.runFor(cfg.measure);
+    const RunResult r = world.results();
+
+    Fingerprint fp;
+    for (int pid : pids) {
+        ASSERT_TRUE(world.trace.has(pid)) << pid;
+        const RequestTrace::PerTask &pt = world.trace.of(pid);
+        fp.add(pid).add(pt.submissions);
+        addHistogram(fp, pt.interArrivalUs);
+        addHistogram(fp, pt.serviceUs);
+        addAccum(fp, pt.serviceAccumUs);
+        addAccum(fp, pt.allServiceAccumUs);
+    }
+    for (const TaskResult &t : r.tasks)
+        fp.add(t.rounds).add(t.requests);
+    EXPECT_EQ(fp.hex(), "34e0895c95d9d8af");
 }
 
 } // namespace
