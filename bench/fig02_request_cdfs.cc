@@ -60,7 +60,7 @@ main()
         world->beginMeasurement();
         world->runFor(cfg.measure);
 
-        const auto &pt = world->trace.of(t.pid());
+        const auto &pt = world->traceOf(0).of(t.pid());
         arrivals.emplace_back(name, &pt.interArrivalUs);
         services.emplace_back(name, &pt.serviceUs);
         worlds.push_back(std::move(world));

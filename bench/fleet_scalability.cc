@@ -58,7 +58,7 @@ main()
             cfg.fleet.placement = placement;
 
             const std::vector<WorkloadSpec> mix = mixFor(devices);
-            const FleetRunResult r = FleetRunner(cfg).run(mix);
+            const RunResult r = ExperimentRunner(cfg).run(mix);
             if (devices == 1)
                 baseRps = r.throughputRps;
 

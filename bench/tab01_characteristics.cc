@@ -29,10 +29,14 @@ main()
         world.runFor(cfg.measure);
         RunResult r = world.results();
 
-        const auto &pt = world.trace.of(t.pid());
+        const auto &pt = world.traceOf(0).of(t.pid());
         std::string paper_req = Table::num(p.paperReqUs, 0);
-        if (p.paperReqUs2 > 0)
-            paper_req += "/" + Table::num(p.paperReqUs2, 0);
+        if (p.paperReqUs2 > 0) {
+            // Two appends, not "/" + num: GCC 12 flags the temporary
+            // concat with a false-positive -Wrestrict at -O3.
+            paper_req += "/";
+            paper_req += Table::num(p.paperReqUs2, 0);
+        }
 
         table.addRow({p.name, p.area,
                       Table::num(r.tasks[0].meanRoundUs, 0),

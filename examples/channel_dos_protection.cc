@@ -39,8 +39,8 @@ runScenario(bool protect)
               << " contexts / " << attacker.channelsCreated
               << " channels before being stopped\n"
               << "  device channels in use: "
-              << world.device.channelsInUse() << " of "
-              << world.device.config().maxChannels << "\n"
+              << world.fleet.stack(0).device.channelsInUse() << " of "
+              << world.fleet.stack(0).device.config().maxChannels << "\n"
               << "  victim " << (victim.channelsCreated > 0
                                      ? "got its channel and is running"
                                      : "was LOCKED OUT of the GPU")

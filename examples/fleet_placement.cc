@@ -47,11 +47,11 @@ main()
                 WorkloadSpec::throttle(usec(430)).withAffinity(key));
         }
 
-        const FleetRunResult r = FleetRunner(cfg).run(mix);
+        const RunResult r = ExperimentRunner(cfg).run(mix);
 
         std::cout << "=== " << placementKindName(placement) << " ===\n";
         Table table({"task", "device", "requests", "busy(ms)"});
-        for (const FleetTaskResult &t : r.tasks) {
+        for (const TaskResult &t : r.tasks) {
             table.addRow({
                 t.label,
                 Table::num(static_cast<double>(t.device), 0),

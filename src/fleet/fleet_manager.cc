@@ -17,11 +17,9 @@ FleetManager::FleetManager(EventQueue &eq, const FleetConfig &cfg,
     : policy(makePlacementPolicy(cfg))
 {
     if (cfg.devices == 0)
-        panic("fleet: device count must be at least 1");
+        fatal("fleet.devices = 0: a fleet needs at least one device");
 
-    liveTasksPerDevice.assign(cfg.devices, 0);
-    liveDemandPerDevice.assign(cfg.devices, 0.0);
-    deviceUp_.assign(cfg.devices, 1);
+    perDevice.resize(cfg.devices);
     stacks.reserve(cfg.devices);
     for (std::size_t i = 0; i < cfg.devices; ++i) {
         DeviceConfig dcfg = device_template;
@@ -36,29 +34,33 @@ FleetManager::FleetManager(EventQueue &eq, const FleetConfig &cfg,
 }
 
 Task &
-FleetManager::emplaceTask(std::size_t device, const PlacementRequest &req)
+FleetManager::emplaceTask(std::size_t device, PlacementRequest &&req)
 {
     if (device >= stacks.size())
         panic("fleet: placement chose device ", device, " of ",
               stacks.size());
-    if (!deviceUp_[device])
+    DeviceState &dev = perDevice[device];
+    if (!dev.up)
         panic("fleet: placing task ", req.label, " on down device ",
               device);
 
     auto task =
         std::make_unique<Task>(stacks[device]->kernel, req.label);
     Task &ref = *task;
-    placedIndex[&ref] = placed.size();
-    placed.push_back({std::move(task), req, device, /*live=*/true});
-    taskRefs.push_back(&ref);
-    ++liveTasksPerDevice[device];
-    liveDemandPerDevice[device] += req.demand;
+    const auto pid = static_cast<std::size_t>(ref.pid());
+    if (pid >= dev.placedByPid.size())
+        dev.placedByPid.resize(pid + 1, static_cast<std::size_t>(-1));
+    dev.placedByPid[pid] = placed.size();
+    ++dev.liveTasks;
+    dev.liveDemand += req.demand;
     policy->noteTaskPlaced(req, device);
+    placed.push_back({std::move(task), std::move(req), device,
+                      /*live=*/true});
     NEON_TRACE(obs::TraceCategory::Fleet, obs::TraceKind::Instant,
                "fleet.place",
                obs::TraceIds{static_cast<std::int16_t>(device), ref.pid(),
                              -1},
-               liveTasksPerDevice[device], 0);
+               dev.liveTasks, 0);
 
     // Protection kills happen inside the per-device scheduler; surface
     // them to fleet-level observers (admission control) and keep the
@@ -84,24 +86,20 @@ FleetManager::handleTaskKilled(Task &t)
         onTaskKilled(t);
 }
 
-FleetManager::Placed &
-FleetManager::placedOf(const Task &t)
+std::size_t
+FleetManager::placedSlot(const Task &t) const
 {
-    auto it = placedIndex.find(&t);
-    if (it == placedIndex.end())
-        panic("fleet: task ", t.name(),
-              " was not placed by this manager");
-    return placed[it->second];
-}
-
-const FleetManager::Placed &
-FleetManager::placedOf(const Task &t) const
-{
-    auto it = placedIndex.find(&t);
-    if (it == placedIndex.end())
-        panic("fleet: task ", t.name(),
-              " was not placed by this manager");
-    return placed[it->second];
+    const auto device =
+        static_cast<std::size_t>(t.kernelRef().deviceIndex());
+    const auto pid = static_cast<std::size_t>(t.pid());
+    if (device < stacks.size() &&
+        &stacks[device]->kernel == &t.kernelRef() &&
+        pid < perDevice[device].placedByPid.size()) {
+        const std::size_t i = perDevice[device].placedByPid[pid];
+        if (i < placed.size() && placed[i].task.get() == &t)
+            return i;
+    }
+    panic("fleet: task ", t.name(), " was not placed by this manager");
 }
 
 void
@@ -110,21 +108,22 @@ FleetManager::releasePlacement(Placed &entry)
     if (!entry.live)
         return;
     entry.live = false;
-    --liveTasksPerDevice[entry.device];
-    liveDemandPerDevice[entry.device] -= entry.req.demand;
+    --perDevice[entry.device].liveTasks;
+    perDevice[entry.device].liveDemand -= entry.req.demand;
     policy->noteTaskDeparted(entry.req, entry.device);
 }
 
 Task &
-FleetManager::createTask(const PlacementRequest &req)
+FleetManager::createTask(PlacementRequest req)
 {
-    return emplaceTask(policy->place(loadViews(), req), req);
+    const std::size_t device = policy->place(loadViews(), req);
+    return emplaceTask(device, std::move(req));
 }
 
 Task &
-FleetManager::createTaskOn(std::size_t device, const PlacementRequest &req)
+FleetManager::createTaskOn(std::size_t device, PlacementRequest req)
 {
-    return emplaceTask(device, req);
+    return emplaceTask(device, std::move(req));
 }
 
 void
@@ -147,7 +146,7 @@ FleetManager::retireTask(Task &t)
                "fleet.retire",
                obs::TraceIds{static_cast<std::int16_t>(entry.device),
                              t.pid(), -1},
-               liveTasksPerDevice[entry.device], 0);
+               perDevice[entry.device].liveTasks, 0);
     stacks[entry.device]->kernel.retireTask(t);
     releasePlacement(entry);
 }
@@ -163,14 +162,14 @@ FleetManager::migrateTask(Task &t, std::size_t target)
 
     // Copy the request before retiring: retireTask may not invalidate
     // `entry`, but emplaceTask below grows `placed` and can reallocate.
-    const PlacementRequest req = entry.req;
+    PlacementRequest req = entry.req;
     NEON_TRACE(obs::TraceCategory::Fleet, obs::TraceKind::Instant,
                "fleet.migrate",
                obs::TraceIds{static_cast<std::int16_t>(entry.device),
                              t.pid(), -1},
                entry.device, target);
     retireTask(t);
-    return emplaceTask(target, req);
+    return emplaceTask(target, std::move(req));
 }
 
 void
@@ -187,14 +186,14 @@ FleetManager::failDevice(std::size_t i)
 {
     if (i >= stacks.size())
         panic("fleet: failing device ", i, " of ", stacks.size());
-    if (!deviceUp_[i])
+    if (!perDevice[i].up)
         return;
-    deviceUp_[i] = 0;
+    perDevice[i].up = false;
 
     NEON_TRACE(obs::TraceCategory::Fault, obs::TraceKind::Instant,
                "fleet.device_down",
                obs::TraceIds{static_cast<std::int16_t>(i), -1, -1},
-               liveTasksPerDevice[i], 0);
+               perDevice[i].liveTasks, 0);
 
     // Lose in-flight work first (charging partial occupancy), then let
     // the serve layer shrink its capacity before any eviction can
@@ -225,9 +224,9 @@ FleetManager::repairDevice(std::size_t i)
 {
     if (i >= stacks.size())
         panic("fleet: repairing device ", i, " of ", stacks.size());
-    if (deviceUp_[i])
+    if (perDevice[i].up)
         return;
-    deviceUp_[i] = 1;
+    perDevice[i].up = true;
     stacks[i]->device.repair();
     NEON_TRACE(obs::TraceCategory::Fault, obs::TraceKind::Instant,
                "fleet.device_up",
@@ -240,8 +239,8 @@ std::size_t
 FleetManager::upDeviceCount() const
 {
     std::size_t n = 0;
-    for (const char up : deviceUp_)
-        n += up ? 1 : 0;
+    for (const DeviceState &d : perDevice)
+        n += d.up ? 1 : 0;
     return n;
 }
 
@@ -297,24 +296,23 @@ FleetManager::deviceOf(const Task &t) const
     return placedOf(t).device;
 }
 
-std::vector<DeviceLoadView>
+const std::vector<DeviceLoadView> &
 FleetManager::loadViews() const
 {
     // O(devices): retired/migrated/killed tasks released their slot in
     // the per-device aggregates, so sticky capacity (and load
     // tie-breaks) drain as tenants depart without rescanning the
     // ever-growing placement log.
-    std::vector<DeviceLoadView> views;
-    views.reserve(stacks.size());
-    for (const auto &s : stacks) {
-        DeviceLoadView v;
-        v.index = s->index;
-        v.speedFactor = s->device.config().speedFactor;
-        v.busyTime = s->meter.totalBusy();
-        v.assignedTasks = liveTasksPerDevice[s->index];
-        v.assignedDemand = liveDemandPerDevice[s->index];
-        v.up = deviceUp_[s->index] != 0;
-        views.push_back(v);
+    views.resize(stacks.size());
+    for (std::size_t i = 0; i < stacks.size(); ++i) {
+        const DeviceStack &s = *stacks[i];
+        DeviceLoadView &v = views[i];
+        v.index = s.index;
+        v.speedFactor = s.device.config().speedFactor;
+        v.busyTime = s.meter.totalBusy();
+        v.assignedTasks = perDevice[i].liveTasks;
+        v.assignedDemand = perDevice[i].liveDemand;
+        v.up = perDevice[i].up;
     }
     return views;
 }

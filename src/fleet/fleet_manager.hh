@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,14 +72,14 @@ class FleetManager
      * Create a task and place it on a device chosen by the policy.
      * The manager owns the task for the fleet's lifetime.
      */
-    Task &createTask(const PlacementRequest &req);
+    Task &createTask(PlacementRequest req);
 
     /**
      * Create a task on an explicit device, bypassing the placement
      * policy's choice (serve-layer steering, migration targets). The
      * policy is still notified so its bookkeeping stays consistent.
      */
-    Task &createTaskOn(std::size_t device, const PlacementRequest &req);
+    Task &createTaskOn(std::size_t device, PlacementRequest req);
 
     /** Begin executing a placed task's body on its device's kernel. */
     void startTask(Task &t, Co body);
@@ -125,7 +124,7 @@ class FleetManager
     /** Bring device @p i back and notify onDeviceUp. */
     void repairDevice(std::size_t i);
 
-    bool deviceUp(std::size_t i) const { return deviceUp_.at(i) != 0; }
+    bool deviceUp(std::size_t i) const { return perDevice.at(i).up; }
 
     /** Devices currently up. */
     std::size_t upDeviceCount() const;
@@ -170,8 +169,12 @@ class FleetManager
     /** Observer forwarded every watchdog kill across the fleet. */
     std::function<void(const WatchdogKill &)> onWatchdogKill;
 
-    /** Snapshot of per-device load, ordered by device index. */
-    std::vector<DeviceLoadView> loadViews() const;
+    /**
+     * Snapshot of per-device load, ordered by device index. The
+     * vector is refilled in place by the next call, so copy it to
+     * keep it.
+     */
+    const std::vector<DeviceLoadView> &loadViews() const;
 
     /** Per-task usage aggregated across all devices, placement order. */
     std::vector<FleetTaskUsage> taskUsage() const;
@@ -188,7 +191,9 @@ class FleetManager
     /** Total protection kills across the fleet. */
     std::uint64_t totalKills() const;
 
-    const std::vector<Task *> &tasks() const { return taskRefs; }
+    /** Tasks ever placed (departed ones included), placement order. */
+    std::size_t taskCount() const { return placed.size(); }
+    Task &task(std::size_t i) const { return *placed[i].task; }
 
   private:
     struct Placed
@@ -201,9 +206,15 @@ class FleetManager
         bool live = true;
     };
 
-    Task &emplaceTask(std::size_t device, const PlacementRequest &req);
-    Placed &placedOf(const Task &t);
-    const Placed &placedOf(const Task &t) const;
+    Task &emplaceTask(std::size_t device, PlacementRequest &&req);
+
+    /** Position of @p t in `placed`; panics on a foreign task. */
+    std::size_t placedSlot(const Task &t) const;
+    Placed &placedOf(const Task &t) { return placed[placedSlot(t)]; }
+    const Placed &placedOf(const Task &t) const
+    {
+        return placed[placedSlot(t)];
+    }
 
     /**
      * Fleet half of the protection-kill path: release the slot and
@@ -216,20 +227,28 @@ class FleetManager
 
     std::vector<std::unique_ptr<DeviceStack>> stacks;
     std::vector<std::unique_ptr<Watchdog>> watchdogs;
-    std::vector<char> deviceUp_; ///< availability flags, device order
     std::unique_ptr<PlacementPolicy> policy;
     std::vector<Placed> placed;
-    std::vector<Task *> taskRefs;
 
     /**
      * Open-system churn makes `placed` grow for the run's lifetime
      * (departed tasks stay owned so their usage stays accounted), so
-     * the hot paths must not scan it: lookups go through this index
-     * and load snapshots through the per-device live aggregates.
+     * the hot paths must not scan it: lookups go through each
+     * device's pid table and load snapshots through its live
+     * aggregates.
      */
-    std::map<const Task *, std::size_t> placedIndex;
-    std::vector<std::size_t> liveTasksPerDevice;
-    std::vector<double> liveDemandPerDevice;
+    struct DeviceState
+    {
+        bool up = true;
+        std::size_t liveTasks = 0;
+        double liveDemand = 0.0;
+
+        /** `placed` position by kernel pid (pids are dense from 1). */
+        std::vector<std::size_t> placedByPid;
+    };
+    std::vector<DeviceState> perDevice; ///< device order
+
+    mutable std::vector<DeviceLoadView> views; ///< loadViews() buffer
 };
 
 } // namespace neon

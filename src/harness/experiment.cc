@@ -5,7 +5,6 @@
 #include "metrics/reporter.hh"
 #include "sched/direct.hh"
 #include "sched/disengaged_timeslice.hh"
-#include "sched/vtime_tap.hh"
 #include "sim/logging.hh"
 #include "workload/synthetic_app.hh"
 
@@ -150,141 +149,6 @@ taskSeed(const ExperimentConfig &cfg, std::size_t i)
 
 } // namespace
 
-World::World(const ExperimentConfig &cfg)
-    : device(eq, cfg.device, meter), kernel(eq, device, cfg.costs,
-                                            cfg.channelPolicy),
-      cfg(cfg)
-{
-    kernel.polling().setPeriod(cfg.pollPeriod);
-    sched = makeScheduler(cfg, kernel, &meter);
-    kernel.setScheduler(sched.get());
-    if (cfg.collectTraces)
-        trace.attach(device);
-    if (cfg.observe.enabled()) {
-        observer = std::make_unique<obs::Observer>(eq, cfg.observe);
-        observer->metrics().probe("eq.executed", [this] {
-            return static_cast<double>(eq.executed());
-        });
-        observer->start();
-    }
-    if (cfg.fault.watchdog.enabled) {
-        watchdog = std::make_unique<Watchdog>(eq, kernel,
-                                              cfg.fault.watchdog, 0);
-    }
-    if (cfg.observe.audit.enabled) {
-        auditor = std::make_unique<obs::Auditor>(eq, cfg.observe.audit);
-        if (dynamic_cast<VirtualTimeTap *>(sched.get())) {
-            auditor->addMonotone("dev0.vtime_monotone", [this] {
-                return static_cast<double>(
-                    dynamic_cast<const VirtualTimeTap *>(sched.get())
-                        ->tapSystemVtime());
-            });
-        }
-        auditor->addMonotone("dev0.busy_monotone", [this] {
-            return static_cast<double>(meter.totalBusy());
-        });
-        if (watchdog) {
-            const WatchdogConfig wdc = cfg.fault.watchdog;
-            auditor->addFinal(
-                "watchdog.latency_bound",
-                [this, wdc](obs::AuditLog &log, Tick now) {
-                    for (const WatchdogKill &k : watchdog->killLog()) {
-                        const Tick timeout = k.cause == WatchdogCause::Hang
-                            ? wdc.hangTimeout
-                            : wdc.runawayTimeout;
-                        const Tick bound = timeout + 2 * wdc.checkPeriod;
-                        log.check(k.latency <= bound,
-                                  "watchdog.latency_bound", now, bound,
-                                  k.latency);
-                    }
-                });
-        }
-        auditor->start();
-    }
-}
-
-World::~World() = default;
-
-Task &
-World::spawn(const WorkloadSpec &spec)
-{
-    auto task = std::make_unique<Task>(kernel, spec.label);
-    Task &ref = *task;
-    taskStore.push_back(std::move(task));
-    specs.push_back(spec);
-    return ref;
-}
-
-void
-World::start()
-{
-    for (std::size_t i = 0; i < taskStore.size(); ++i) {
-        Task &t = *taskStore[i];
-        kernel.startTask(t,
-                         makeWorkloadBody(t, specs[i], taskSeed(cfg, i)));
-    }
-    kernel.start();
-    if (watchdog)
-        watchdog->start();
-}
-
-void
-World::beginMeasurement()
-{
-    measureStart = eq.now();
-    busyAtMeasureStart = meter.totalBusy();
-    switchAtMeasureStart = meter.totalSwitchOverhead();
-    baselineRequests.clear();
-    baselineBusy.clear();
-    for (auto &t : taskStore) {
-        t->resetStats();
-        baselineRequests.push_back(meter.requestsOf(t->pid()));
-        baselineBusy.push_back(meter.busyOf(t->pid()));
-    }
-    trace.reset();
-}
-
-RunResult
-World::results()
-{
-    RunResult r;
-    r.elapsed = eq.now() - measureStart;
-    r.deviceBusy = meter.totalBusy() - busyAtMeasureStart;
-    r.switchOverhead =
-        meter.totalSwitchOverhead() - switchAtMeasureStart;
-    r.kills = kernel.killCount();
-
-    for (std::size_t i = 0; i < taskStore.size(); ++i) {
-        Task &t = *taskStore[i];
-        TaskResult tr;
-        tr.label = specs[i].label;
-        tr.pid = t.pid();
-        tr.meanRoundUs = t.roundTimes().mean();
-        tr.rounds = t.roundTimes().count();
-        tr.gpuBusy = meter.busyOf(t.pid()) -
-            (i < baselineBusy.size() ? baselineBusy[i] : 0);
-        tr.requests = meter.requestsOf(t.pid()) -
-            (i < baselineRequests.size() ? baselineRequests[i] : 0);
-        tr.killed = t.killed();
-        r.tasks.push_back(std::move(tr));
-    }
-    if (auditor) {
-        auditor->finalize();
-        r.audit = auditor->report();
-    }
-    return r;
-}
-
-const FleetTaskResult &
-FleetRunResult::byLabel(const std::string &label) const
-{
-    for (const auto &t : tasks) {
-        if (t.label == label)
-            return t;
-    }
-    panic("no task labelled ", label, " in fleet results");
-}
-
 void
 requireSerialCore(const ExperimentConfig &cfg)
 {
@@ -294,14 +158,14 @@ requireSerialCore(const ExperimentConfig &cfg)
               "(the serial core)");
 }
 
-FleetWorld::FleetWorld(const ExperimentConfig &cfg)
+World::World(const ExperimentConfig &cfg)
     : fleet(eq, cfg.fleet, cfg.device, cfg.costs,
             cfg.channelPolicy, cfg.pollPeriod,
             [&cfg](KernelModule &kernel, const UsageMeter &meter,
                    std::size_t) {
                 return makeScheduler(cfg, kernel, &meter);
             }),
-      cfg(cfg)
+      sched(fleet.stack(0).sched), cfg(cfg)
 {
     requireSerialCore(cfg);
     if (cfg.collectTraces) {
@@ -326,26 +190,21 @@ FleetWorld::FleetWorld(const ExperimentConfig &cfg)
     }
 }
 
-FleetWorld::~FleetWorld() = default;
+World::~World() = default;
 
 Task &
-FleetWorld::spawn(const WorkloadSpec &spec)
+World::spawn(const WorkloadSpec &spec)
 {
-    PlacementRequest req;
-    req.label = spec.label;
-    req.affinityKey = spec.affinityKey;
-    req.demand = spec.demand;
-    Task &t = fleet.createTask(req);
+    Task &t = fleet.createTask({spec.label, spec.affinityKey, spec.demand});
     specs.push_back(spec);
     return t;
 }
 
 void
-FleetWorld::start()
+World::start()
 {
-    const std::vector<Task *> &tasks = fleet.tasks();
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        Task &t = *tasks[i];
+    for (std::size_t i = 0; i < fleet.taskCount(); ++i) {
+        Task &t = fleet.task(i);
         fleet.startTask(t,
                         makeWorkloadBody(t, specs[i], taskSeed(cfg, i)));
     }
@@ -353,7 +212,7 @@ FleetWorld::start()
 }
 
 void
-FleetWorld::beginMeasurement()
+World::beginMeasurement()
 {
     measureStart = eq.now();
     baselineBusy.clear();
@@ -364,8 +223,8 @@ FleetWorld::beginMeasurement()
         deviceSwitchBaseline.push_back(
             fleet.stack(i).meter.totalSwitchOverhead());
     vtimeBaseline = fleetDfqVtimes(fleet);
-    for (Task *t : fleet.tasks())
-        t->resetStats();
+    for (std::size_t i = 0; i < fleet.taskCount(); ++i)
+        fleet.task(i).resetStats();
     for (const FleetTaskUsage &u : fleet.taskUsage()) {
         baselineBusy.push_back(u.busy);
         baselineRequests.push_back(u.requests);
@@ -374,17 +233,18 @@ FleetWorld::beginMeasurement()
         t->reset();
 }
 
-FleetRunResult
-FleetWorld::results()
+RunResult
+World::results()
 {
-    FleetRunResult r;
+    RunResult r;
     r.elapsed = eq.now() - measureStart;
     r.kills = fleet.totalKills();
 
-    r.deviceBusy = fleet.perDeviceBusy();
-    for (std::size_t i = 0; i < r.deviceBusy.size(); ++i) {
+    r.perDeviceBusy = fleet.perDeviceBusy();
+    for (std::size_t i = 0; i < r.perDeviceBusy.size(); ++i) {
         if (i < deviceBusyBaseline.size())
-            r.deviceBusy[i] -= deviceBusyBaseline[i];
+            r.perDeviceBusy[i] -= deviceBusyBaseline[i];
+        r.deviceBusy += r.perDeviceBusy[i];
         r.switchOverhead +=
             fleet.stack(i).meter.totalSwitchOverhead() -
             (i < deviceSwitchBaseline.size() ? deviceSwitchBaseline[i]
@@ -394,19 +254,18 @@ FleetWorld::results()
     // Window-adjusted per-task usage feeds both the task results and
     // the fleet fairness indices.
     std::vector<FleetTaskUsage> usage = fleet.taskUsage();
-    const std::vector<Task *> &tasks = fleet.tasks();
     for (std::size_t i = 0; i < usage.size(); ++i) {
         FleetTaskUsage &u = usage[i];
         u.busy -= i < baselineBusy.size() ? baselineBusy[i] : 0;
         u.requests -=
             i < baselineRequests.size() ? baselineRequests[i] : 0;
 
-        FleetTaskResult tr;
+        TaskResult tr;
         tr.label = u.label;
         tr.device = u.device;
         tr.pid = u.pid;
-        tr.meanRoundUs = tasks[i]->roundTimes().mean();
-        tr.rounds = tasks[i]->roundTimes().count();
+        tr.meanRoundUs = fleet.task(i).roundTimes().mean();
+        tr.rounds = fleet.task(i).roundTimes().count();
         tr.gpuBusy = u.busy;
         tr.requests = u.requests;
         tr.killed = u.killed;
@@ -416,26 +275,13 @@ FleetWorld::results()
 
     r.throughputRps = fleetThroughputRps(r.requests, r.elapsed);
     r.fairness.taskFairness = fleetTaskFairness(usage, fleet);
-    r.fairness.deviceBalance = fleetDeviceBalance(r.deviceBusy);
+    r.fairness.deviceBalance = fleetDeviceBalance(r.perDeviceBusy);
     r.fairness.vtimeSpreadMs = fleetVtimeSpreadMs(fleet, vtimeBaseline);
     if (auditor) {
         auditor->finalize();
         r.audit = auditor->report();
     }
     return r;
-}
-
-FleetRunResult
-FleetRunner::run(const std::vector<WorkloadSpec> &specs) const
-{
-    FleetWorld world(cfg);
-    for (const auto &s : specs)
-        world.spawn(s);
-    world.start();
-    world.runFor(cfg.warmup);
-    world.beginMeasurement();
-    world.runFor(cfg.measure);
-    return world.results();
 }
 
 RunResult
@@ -456,7 +302,8 @@ ExperimentRunner::soloRoundUs(const WorkloadSpec &spec) const
 {
     ExperimentConfig solo_cfg = cfg;
     solo_cfg.sched = SchedKind::Direct;
-    solo_cfg.observe = {}; // baselines never trace
+    solo_cfg.fleet = FleetConfig{}; // one template-speed device
+    solo_cfg.observe = {};          // baselines never trace
     ExperimentRunner solo(solo_cfg);
     const RunResult r = solo.run({spec});
     return r.tasks.at(0).meanRoundUs;

@@ -1,8 +1,9 @@
 /**
  * @file
- * Experiment harness: assembles a world (device + kernel + scheduler +
- * tasks), runs warmup and measurement windows, and reports the paper's
- * metrics (per-round times, slowdowns, concurrency efficiency).
+ * Experiment harness: assembles a closed world (device stacks +
+ * placement + tasks), runs warmup and measurement windows, and reports
+ * the paper's metrics (per-round times, slowdowns, concurrency
+ * efficiency) with fleet-wide throughput and fairness.
  */
 
 #ifndef NEON_HARNESS_EXPERIMENT_HH
@@ -53,8 +54,9 @@ extern const std::vector<SchedKind> paperSchedulers;
 
 /**
  * Simulation-core shape (ExperimentConfig::shards). Only the serial
- * core exists: 0 and 1 both mean one event queue, and FleetWorld and
- * ServeWorld reject count > 1 at construction.
+ * core exists: 0 and 1 both mean one event queue, and World and
+ * ServeWorld reject count > 1 at construction. Kept because perfbench
+ * prints it in its config description (perfbench/src/workloads.cc).
  */
 struct ShardConfig
 {
@@ -76,9 +78,9 @@ struct ExperimentConfig
     EngagedFqConfig engagedFq;
 
     /**
-     * Multi-device fleet shape (FleetWorld/FleetRunner only; the
-     * single-device World ignores it). Each device runs its own
-     * instance of the policy selected by `sched`.
+     * Device pool shape (World and ServeWorld): device count (one by
+     * default), per-device speeds and task placement. Each device
+     * runs its own instance of the policy selected by `sched`.
      */
     FleetConfig fleet;
 
@@ -162,7 +164,8 @@ struct WorkloadSpec
 struct TaskResult
 {
     std::string label;
-    int pid = 0;
+    std::size_t device = 0; ///< device the task was placed on
+    int pid = 0;            ///< pid within that device's kernel
     double meanRoundUs = 0.0;
     std::uint64_t rounds = 0;
     Tick gpuBusy = 0;           ///< ground-truth device time (measurement)
@@ -170,74 +173,29 @@ struct TaskResult
     bool killed = false;
 };
 
-/** Whole-run outcome. */
+/** Whole-run outcome (measurement window). */
 struct RunResult
 {
     std::vector<TaskResult> tasks;
     Tick elapsed = 0;
-    Tick deviceBusy = 0;       ///< execute-engine busy (measurement window)
-    Tick switchOverhead = 0;
+
+    /**
+     * Execute-engine busy summed over the fleet. A scalar Tick because
+     * perfbench's paper_pairs adds it up (perfbench/src/workloads.cc).
+     */
+    Tick deviceBusy = 0;
+
+    std::vector<Tick> perDeviceBusy; ///< busy per device, device order
+    std::uint64_t requests = 0;      ///< fleet-wide completions
+    Tick switchOverhead = 0;         ///< fleet-wide arbitration overhead
     std::uint64_t kills = 0;
+    double throughputRps = 0.0;      ///< fleet-wide requests per second
+    FleetFairnessReport fairness;
 
     /** Invariant-audit outcome (checks == 0 when the auditor was off). */
     obs::AuditReport audit;
 
     const TaskResult &byLabel(const std::string &label) const;
-};
-
-/**
- * An assembled simulation world. Exposed so tests and examples can
- * poke at internals; benches normally go through ExperimentRunner.
- */
-class World
-{
-  public:
-    explicit World(const ExperimentConfig &cfg);
-    ~World();
-
-    World(const World &) = delete;
-    World &operator=(const World &) = delete;
-
-    /** Create a task running @p spec; call before start(). */
-    Task &spawn(const WorkloadSpec &spec);
-
-    /** Start the kernel (polling + policy) and all spawned tasks. */
-    void start();
-
-    /** Run for @p d simulated time. */
-    void runFor(Tick d) { eq.runFor(d); }
-
-    /** Begin the measurement window: clear all statistics. */
-    void beginMeasurement();
-
-    /** Harvest results since beginMeasurement(). */
-    RunResult results();
-
-    EventQueue eq;
-    UsageMeter meter;
-    GpuDevice device;
-    KernelModule kernel;
-    std::unique_ptr<Scheduler> sched;
-    RequestTrace trace;
-
-    /** Tracing/metrics bundle (cfg.observe.enabled() only, else null). */
-    std::unique_ptr<obs::Observer> observer;
-
-    /** Invariant auditor (cfg.observe.audit.enabled; on by default). */
-    std::unique_ptr<obs::Auditor> auditor;
-
-    /** Watchdog service (cfg.fault.watchdog.enabled only, else null). */
-    std::unique_ptr<Watchdog> watchdog;
-
-  private:
-    ExperimentConfig cfg;
-    std::vector<std::unique_ptr<Task>> taskStore;
-    std::vector<WorkloadSpec> specs;
-    std::vector<std::uint64_t> baselineRequests;
-    std::vector<Tick> baselineBusy;
-    Tick measureStart = 0;
-    Tick busyAtMeasureStart = 0;
-    Tick switchAtMeasureStart = 0;
 };
 
 /**
@@ -253,77 +211,49 @@ makeScheduler(const ExperimentConfig &cfg, KernelModule &kernel,
 
 /**
  * Instantiate @p spec's workload body for @p t. Shared by the closed
- * worlds (spawn at t0) and the serving layer (bodies restarted per
+ * world (spawn at t0) and the serving layer (bodies restarted per
  * session incarnation).
  */
 Co makeWorkloadBody(Task &t, const WorkloadSpec &spec, std::uint64_t seed);
 
 /**
  * Reject a config that asks for the removed sharded core
- * (cfg.shards.count > 1) with a fatal() naming the field. The
- * FleetWorld and ServeWorld constructors call it.
+ * (cfg.shards.count > 1) with a fatal() naming the field. The World
+ * and ServeWorld constructors call it.
  */
 void requireSerialCore(const ExperimentConfig &cfg);
 
-/** Per-task outcome of a fleet run. */
-struct FleetTaskResult
-{
-    std::string label;
-    std::size_t device = 0; ///< device the task was placed on
-    int pid = 0;            ///< pid within that device's kernel
-    double meanRoundUs = 0.0;
-    std::uint64_t rounds = 0;
-    Tick gpuBusy = 0;
-    std::uint64_t requests = 0;
-    bool killed = false;
-};
-
-/** Whole-fleet outcome of a run. */
-struct FleetRunResult
-{
-    std::vector<FleetTaskResult> tasks;
-    Tick elapsed = 0;
-    std::vector<Tick> deviceBusy; ///< per-device busy (window)
-    std::uint64_t requests = 0;   ///< fleet-wide completions (window)
-    Tick switchOverhead = 0;      ///< fleet-wide arbitration overhead
-    std::uint64_t kills = 0;
-    double throughputRps = 0.0;   ///< fleet-wide requests per second
-    FleetFairnessReport fairness;
-
-    /** Invariant-audit outcome (checks == 0 when the auditor was off). */
-    obs::AuditReport audit;
-
-    const FleetTaskResult &byLabel(const std::string &label) const;
-};
-
 /**
- * A multi-device simulation world: cfg.fleet.devices independent
- * device stacks, each running cfg.sched, with tasks routed to devices
- * by cfg.fleet.placement. The single-device World remains the
- * one-device special case.
+ * The closed simulation world: cfg.fleet.devices device stacks (one
+ * by default, the paper's setting), each running its own instance of
+ * cfg.sched, with tasks routed to devices by cfg.fleet.placement.
+ * Exposed so tests and examples can poke at internals; benches
+ * normally go through ExperimentRunner.
  */
-class FleetWorld
+class World
 {
   public:
-    explicit FleetWorld(const ExperimentConfig &cfg);
-    ~FleetWorld();
+    explicit World(const ExperimentConfig &cfg);
+    ~World();
 
-    FleetWorld(const FleetWorld &) = delete;
-    FleetWorld &operator=(const FleetWorld &) = delete;
+    World(const World &) = delete;
+    World &operator=(const World &) = delete;
 
-    /** Create a task, routed by the placement policy. */
+    /** Create a task running @p spec, routed by the placement policy;
+     *  call before start(). */
     Task &spawn(const WorkloadSpec &spec);
 
     /** Start every device's kernel and all spawned tasks. */
     void start();
 
+    /** Run for @p d simulated time. */
     void runFor(Tick d) { eq.runFor(d); }
 
     /** Begin the measurement window: snapshot all statistics. */
     void beginMeasurement();
 
     /** Harvest results since beginMeasurement(). */
-    FleetRunResult results();
+    RunResult results();
 
     /** Device @p i's request trace (cfg.collectTraces only). */
     RequestTrace &
@@ -341,6 +271,13 @@ class FleetWorld
     EventQueue eq;
     FleetManager fleet;
 
+    /**
+     * Device 0's policy. Kept because perfbench counts DFQ episodes
+     * through it (perfbench/src/workloads.cc); other callers reach
+     * every device through fleet.stack(i).sched.
+     */
+    const std::unique_ptr<Scheduler> &sched;
+
     /** Tracing/metrics bundle (cfg.observe.enabled() only, else null). */
     std::unique_ptr<obs::Observer> observer;
 
@@ -349,7 +286,7 @@ class FleetWorld
 
   private:
     ExperimentConfig cfg;
-    std::vector<WorkloadSpec> specs; // parallel to fleet.tasks()
+    std::vector<WorkloadSpec> specs; // parallel to fleet.task(i)
     std::vector<std::unique_ptr<RequestTrace>> traces; // per device
     std::vector<Tick> baselineBusy;
     std::vector<std::uint64_t> baselineRequests;
@@ -359,21 +296,12 @@ class FleetWorld
     Tick measureStart = 0;
 };
 
-/** Convenience driver for fleet runs (mirrors ExperimentRunner). */
-class FleetRunner
-{
-  public:
-    explicit FleetRunner(ExperimentConfig cfg) : cfg(std::move(cfg)) {}
-
-    /** Run the given workloads together across the fleet. */
-    FleetRunResult run(const std::vector<WorkloadSpec> &specs) const;
-
-    const ExperimentConfig &config() const { return cfg; }
-    ExperimentConfig &config() { return cfg; }
-
-  private:
-    ExperimentConfig cfg;
-};
+/**
+ * The multi-device world's former name. perfbench's layer ladder
+ * still spells it (perfbench/src/probes.cc), and perfbench changes
+ * only with the benchmark.
+ */
+using FleetWorld = World;
 
 /** Convenience driver for the common run patterns. */
 class ExperimentRunner
@@ -385,8 +313,9 @@ class ExperimentRunner
     RunResult run(const std::vector<WorkloadSpec> &specs) const;
 
     /**
-     * Solo baseline: run one workload alone under direct access (the
-     * paper's normalization basis). Returns the mean round time in us.
+     * Solo baseline: run one workload alone on one template-speed
+     * device under direct access (the paper's normalization basis).
+     * Returns the mean round time in us.
      */
     double soloRoundUs(const WorkloadSpec &spec) const;
 

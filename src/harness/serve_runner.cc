@@ -384,36 +384,6 @@ ServeRunner::run(const std::vector<ServeWorkloadSpec> &specs,
                 slowdowns.push_back(s.meanRoundUs / it->second);
         }
         r.slo.slowdown = summarizeLatencies(std::move(slowdowns));
-
-        // With baselines in hand, fold the slowdown target into
-        // goodput: a clean departure now has to meet both bounds.
-        if (cfg.serve.slo.slowdownTarget > 0.0) {
-            GoodputReport &gp = r.slo.goodput;
-            gp.met = 0;
-            for (const ServeSessionResult &s : r.sessions) {
-                if (!s.hasDeparted() || s.killed)
-                    continue;
-                bool met = cfg.serve.slo.sojournTarget <= 0 ||
-                    s.departed - s.admitted <= cfg.serve.slo.sojournTarget;
-                const Tick qb = specs[s.cls].queueBudget > 0
-                    ? specs[s.cls].queueBudget
-                    : cfg.serve.slo.queueTarget;
-                if (met && qb > 0 && s.admitted - s.arrived > qb)
-                    met = false;
-                const auto it = solo_round.find(s.cls);
-                if (met && s.rounds > 0 && it != solo_round.end() &&
-                    it->second > 0.0 &&
-                    s.meanRoundUs / it->second >
-                        cfg.serve.slo.slowdownTarget)
-                    met = false;
-                if (met)
-                    ++gp.met;
-            }
-            gp.fraction = gp.eligible > 0
-                ? static_cast<double>(gp.met) /
-                    static_cast<double>(gp.eligible)
-                : 1.0;
-        }
     }
     return r;
 }

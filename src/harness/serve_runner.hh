@@ -9,7 +9,7 @@
  * sojourn, slowdown vs. the class's isolated baseline) alongside
  * fleet-level fairness and throughput.
  *
- * Unlike the closed runners there is no warmup/measurement split: an
+ * Unlike the closed runner there is no warmup/measurement split: an
  * open run is measured whole, from the first arrival to the horizon,
  * because the transient (queue build-up and drain) is the object of
  * study rather than noise.
@@ -56,7 +56,7 @@ struct ServeWorkloadSpec
     }
 };
 
-/** Outcome of one session (serving analogue of FleetTaskResult). */
+/** Outcome of one session (serving analogue of TaskResult). */
 struct ServeSessionResult
 {
     std::string label;
@@ -208,7 +208,7 @@ class ServeWorld
  */
 std::size_t resolveSlotsPerDevice(const ExperimentConfig &cfg);
 
-/** Convenience driver for serving runs (mirrors FleetRunner). */
+/** Convenience driver for serving runs (mirrors ExperimentRunner). */
 class ServeRunner
 {
   public:

@@ -13,6 +13,10 @@
  *       neon::WorkloadSpec::app("DCT"),
  *       neon::WorkloadSpec::throttle(neon::usec(1700)),
  *   });
+ *
+ * The run uses one device, as in the paper. Setting cfg.fleet.devices
+ * (with speed factors and a placement policy) runs the same workloads
+ * on a device pool through the same runner and RunResult.
  */
 
 #ifndef NEON_NEON_HH

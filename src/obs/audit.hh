@@ -60,7 +60,7 @@ struct AuditViolation
     std::int64_t actual = 0;
 };
 
-/** Harvested audit outcome (ServeRunResult / FleetRunResult / RunResult). */
+/** Harvested audit outcome (RunResult / ServeRunResult). */
 struct AuditReport
 {
     std::uint64_t checks = 0;     ///< individual checks evaluated

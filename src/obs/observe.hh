@@ -2,9 +2,10 @@
  * @file
  * Harness-facing observability bundle.
  *
- * ObserveConfig rides inside ExperimentConfig so every runner (World,
- * FleetWorld, ServeWorld, examples, benches) can switch tracing and
- * metric sampling on with one config block. Observer owns the trace
+ * ObserveConfig rides inside ExperimentConfig so every world (the
+ * closed World and the open ServeWorld, whether driven by a runner,
+ * an example or a bench) can switch tracing and metric sampling on
+ * with one config block. Observer owns the trace
  * ring and metrics registry for one run, installs itself as the
  * process trace sink for the run's lifetime (RAII — destruction
  * deactivates every trace point again), and knows how to register the

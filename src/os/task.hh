@@ -47,7 +47,7 @@ class Task : public Process
     ~Task() override;
 
     int pid() const { return taskPid; }
-    KernelModule &kernelRef() { return kern; }
+    KernelModule &kernelRef() const { return kern; }
 
     /** Channels currently owned (kernel-maintained). */
     const std::vector<Channel *> &channels() const { return chans; }

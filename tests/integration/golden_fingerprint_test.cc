@@ -243,16 +243,16 @@ TEST(GoldenFingerprint, ClosedHeterogeneousFleet)
     for (int us : {19, 100, 430})
         mix.push_back(WorkloadSpec::throttle(usec(us)));
     mix.push_back(WorkloadSpec::throttle(usec(1700)).withDemand(2.0));
-    const FleetRunResult r = FleetRunner(cfg).run(mix);
+    const RunResult r = ExperimentRunner(cfg).run(mix);
     EXPECT_TRUE(r.audit.clean()) << r.audit.summary();
 
     Fingerprint fp;
-    for (const FleetTaskResult &t : r.tasks) {
+    for (const TaskResult &t : r.tasks) {
         fp.add(t.label).add(std::uint64_t(t.device)).add(t.pid);
         fp.add(t.meanRoundUs).add(t.rounds).add(t.gpuBusy);
         fp.add(t.requests).add(t.killed);
     }
-    for (Tick b : r.deviceBusy)
+    for (Tick b : r.perDeviceBusy)
         fp.add(b);
     fp.add(r.elapsed).add(r.requests).add(r.switchOverhead).add(r.kills);
     fp.add(r.throughputRps).add(r.fairness.taskFairness);
@@ -293,13 +293,13 @@ TEST(GoldenFingerprint, WatchdogKillsHogThenHangOnOneDevice)
         fp.add(t.gpuBusy).add(t.requests).add(t.killed);
     }
     fp.add(r.elapsed).add(r.deviceBusy).add(r.switchOverhead).add(r.kills);
-    ASSERT_NE(world.watchdog, nullptr);
-    ASSERT_EQ(world.watchdog->killLog().size(), 1u);
-    for (const WatchdogKill &k : world.watchdog->killLog()) {
+    ASSERT_NE(world.fleet.watchdog(0), nullptr);
+    ASSERT_EQ(world.fleet.watchdog(0)->killLog().size(), 1u);
+    for (const WatchdogKill &k : world.fleet.watchdog(0)->killLog()) {
         fp.add(k.pid).add(std::uint64_t(k.device));
         fp.add(std::uint64_t(k.cause)).add(k.at).add(k.latency);
     }
-    fp.add(world.watchdog->scans());
+    fp.add(world.fleet.watchdog(0)->scans());
     fp.add(world.eq.executed());
     EXPECT_EQ(fp.hex(), "a09c8fb12ba33b2a");
 }
@@ -339,8 +339,8 @@ TEST(GoldenFingerprint, CollectedRequestTraces)
 
     Fingerprint fp;
     for (int pid : pids) {
-        ASSERT_TRUE(world.trace.has(pid)) << pid;
-        const RequestTrace::PerTask &pt = world.trace.of(pid);
+        ASSERT_TRUE(world.traceOf(0).has(pid)) << pid;
+        const RequestTrace::PerTask &pt = world.traceOf(0).of(pid);
         fp.add(pid).add(pt.submissions);
         addHistogram(fp, pt.interArrivalUs);
         addHistogram(fp, pt.serviceUs);

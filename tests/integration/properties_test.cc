@@ -58,7 +58,7 @@ TEST_P(PropertySweep, DeviceTimeIsConserved)
     for (const auto &t : r.tasks)
         exec_busy += t.gpuBusy;
     EXPECT_LE(r.deviceBusy, r.elapsed + msec(2));
-    EXPECT_LE(r.deviceBusy - world.meter.totalDmaBusy() +
+    EXPECT_LE(r.deviceBusy - world.fleet.stack(0).meter.totalDmaBusy() +
                   r.switchOverhead,
               r.elapsed + msec(2));
 
@@ -75,12 +75,12 @@ TEST_P(PropertySweep, CompletionsFollowSubmissionOrderPerChannel)
 
     std::map<int, std::uint64_t> last_completed;
     bool ordered = true;
-    world.device.traceComplete = [&](Channel &c, const GpuRequest &r,
-                                     Tick, Tick) {
-        if (r.ref <= last_completed[c.id()])
-            ordered = false;
-        last_completed[c.id()] = r.ref;
-    };
+    world.fleet.stack(0).device.traceComplete =
+        [&](Channel &c, const GpuRequest &r, Tick, Tick) {
+            if (r.ref <= last_completed[c.id()])
+                ordered = false;
+            last_completed[c.id()] = r.ref;
+        };
 
     world.start();
     world.runFor(sec(1));
@@ -100,7 +100,7 @@ TEST_P(PropertySweep, ReferenceCountersNeverRegress)
     bool monotone = true;
     for (int step = 0; step < 200; ++step) {
         world.runFor(msec(5));
-        for (Channel *c : world.kernel.activeChannels()) {
+        for (Channel *c : world.fleet.stack(0).kernel.activeChannels()) {
             const std::uint64_t cur = c->completedRef();
             if (cur < seen[c->id()])
                 monotone = false;
@@ -125,7 +125,7 @@ TEST_P(PropertySweep, EveryAwaitedSubmissionEventuallyCompletes)
     // a few engagement cycles.
     world.runFor(msec(200));
     int lagging = 0;
-    for (Channel *c : world.kernel.activeChannels()) {
+    for (Channel *c : world.fleet.stack(0).kernel.activeChannels()) {
         const std::uint64_t submitted = c->lastSubmittedRef();
         const std::uint64_t done = c->completedRef();
         // At most one round's worth of requests may be in flight.

@@ -121,8 +121,9 @@ TEST(ChannelDos, UnprotectedAttackerExhaustsTheDevice)
             return dosVictimBody(t, &victim, usec(100));
         }));
     // (spawn after start: start the task directly)
-    Task *vt = world.kernel.tasks().back();
-    world.kernel.startTask(*vt, dosVictimBody(*vt, &victim, usec(100)));
+    Task *vt = world.fleet.stack(0).kernel.tasks().back();
+    world.fleet.stack(0).kernel.startTask(
+        *vt, dosVictimBody(*vt, &victim, usec(100)));
     world.runFor(msec(50));
 
     EXPECT_EQ(victim.channelsCreated, 0);

@@ -24,8 +24,8 @@ TEST(DirectScheduler, ChannelsRunUnprotected)
     world.start();
     world.runFor(msec(50));
 
-    ASSERT_EQ(world.kernel.activeChannels().size(), 1u);
-    Channel *c = world.kernel.activeChannels()[0];
+    ASSERT_EQ(world.fleet.stack(0).kernel.activeChannels().size(), 1u);
+    Channel *c = world.fleet.stack(0).kernel.activeChannels()[0];
     EXPECT_TRUE(c->doorbell().present());
     EXPECT_GT(c->doorbell().directWrites(), 100u);
     EXPECT_EQ(c->doorbell().faults(), 0u);

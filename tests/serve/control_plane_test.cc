@@ -173,6 +173,14 @@ TEST(ControlPlane, ShedDisabledQueuesEverything)
     // The budget was still measured: late departures miss it.
     ASSERT_FALSE(r.slo.goodputByClass.empty());
     EXPECT_LT(r.slo.goodputByClass[0].goodput.fraction, 1.0);
+    // Per-class goodput partitions the overall counts.
+    std::uint64_t eligible = 0, met = 0;
+    for (const auto &g : r.slo.goodputByClass) {
+        eligible += g.goodput.eligible;
+        met += g.goodput.met;
+    }
+    EXPECT_EQ(eligible, r.slo.goodput.eligible);
+    EXPECT_EQ(met, r.slo.goodput.met);
     expectExactConservation(r);
 }
 

@@ -122,7 +122,7 @@ TEST(GlobalClock, LiveSampleNormalizesBySpeedFactor)
     cfg.fleet.devices = 2;
     cfg.fleet.placement = PlacementKind::RoundRobin;
     cfg.fleet.speedFactors = {2.0, 1.0};
-    FleetWorld world(cfg);
+    World world(cfg);
     for (int i = 0; i < 4; ++i)
         world.spawn(WorkloadSpec::throttle(usec(430)));
     world.start();

@@ -97,7 +97,7 @@ TEST(ServeIntegration, OpenPoissonLoadOnHeterogeneousFleet)
     ExperimentConfig single_cfg;
     single_cfg.sched = SchedKind::DisengagedFq;
     single_cfg.measure = sec(2);
-    const FleetRunResult single = FleetRunner(single_cfg).run({
+    const RunResult single = ExperimentRunner(single_cfg).run({
         WorkloadSpec::throttle(usec(430)),
         WorkloadSpec::throttle(usec(430)),
     });
@@ -384,10 +384,26 @@ TEST(ServeIntegration, ShardCountAboveOneRejectedAtConstruction)
     const std::vector<ServeWorkloadSpec> specs = {
         {w, ArrivalSpec::trace({0}), LifetimeSpec::fixed(msec(10))},
     };
-    EXPECT_DEATH(FleetWorld world(cfg),
+    EXPECT_DEATH(World world(cfg),
                  "shards.count = 2: the sharded simulation core was removed");
     EXPECT_DEATH(ServeWorld world(cfg, specs),
                  "shards.count = 2: the sharded simulation core was removed");
+}
+
+TEST(ServeIntegration, ZeroDevicesRejectedAtConstruction)
+{
+    // An empty fleet is a configuration error, not a simulator bug:
+    // both worlds must fail with a message naming the field.
+    ExperimentConfig cfg;
+    cfg.fleet.devices = 0;
+    WorkloadSpec w = WorkloadSpec::throttle(usec(300));
+    const std::vector<ServeWorkloadSpec> specs = {
+        {w, ArrivalSpec::trace({0}), LifetimeSpec::fixed(msec(10))},
+    };
+    EXPECT_EXIT(World world(cfg), testing::ExitedWithCode(1),
+                "fleet.devices = 0");
+    EXPECT_EXIT(ServeWorld world(cfg, specs), testing::ExitedWithCode(1),
+                "fleet.devices = 0");
 }
 
 } // namespace

@@ -73,7 +73,7 @@ TEST(Throttle, JitterVariesRequestSizes)
     world.beginMeasurement();
     world.runFor(cfg.measure);
 
-    const auto &pt = world.trace.of(t.pid());
+    const auto &pt = world.traceOf(0).of(t.pid());
     EXPECT_GT(pt.serviceAccumUs.stddev(), 0.5);
     EXPECT_LT(pt.serviceAccumUs.stddev(), 5.0);
     EXPECT_NEAR(pt.serviceAccumUs.mean(), 100.0, 1.0);
