@@ -403,7 +403,7 @@ Analyzer::closeWindow(Tick ws, Tick we)
 
     if (devBusyPrev.size() < fleet.deviceCount())
         devBusyPrev.resize(fleet.deviceCount(), 0);
-    const std::vector<DeviceLoadView> loads = fleet.loadViews();
+    const std::vector<DeviceLoadView> &loads = fleet.loadViews();
     for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
         const Tick b = fleet.stack(i).meter.totalBusy();
         w.deviceUtil.push_back(

@@ -15,7 +15,7 @@ GlobalVirtualClock::GlobalVirtualClock(FleetManager &fleet,
 std::vector<DeviceClockSample>
 GlobalVirtualClock::sample() const
 {
-    const std::vector<DeviceLoadView> views = fleet.loadViews();
+    const std::vector<DeviceLoadView> &views = fleet.loadViews();
     std::vector<DeviceClockSample> out;
     out.reserve(views.size());
     for (const DeviceLoadView &v : views) {
