@@ -47,10 +47,7 @@ FleetManager::emplaceTask(std::size_t device, PlacementRequest &&req)
     auto task =
         std::make_unique<Task>(stacks[device]->kernel, req.label);
     Task &ref = *task;
-    const auto pid = static_cast<std::size_t>(ref.pid());
-    if (pid >= dev.placedByPid.size())
-        dev.placedByPid.resize(pid + 1, static_cast<std::size_t>(-1));
-    dev.placedByPid[pid] = placed.size();
+    ref.placementSlot = placed.size();
     ++dev.liveTasks;
     dev.liveDemand += req.demand;
     policy->noteTaskPlaced(req, device);
@@ -89,17 +86,10 @@ FleetManager::handleTaskKilled(Task &t)
 std::size_t
 FleetManager::placedSlot(const Task &t) const
 {
-    const auto device =
-        static_cast<std::size_t>(t.kernelRef().deviceIndex());
-    const auto pid = static_cast<std::size_t>(t.pid());
-    if (device < stacks.size() &&
-        &stacks[device]->kernel == &t.kernelRef() &&
-        pid < perDevice[device].placedByPid.size()) {
-        const std::size_t i = perDevice[device].placedByPid[pid];
-        if (i < placed.size() && placed[i].task.get() == &t)
-            return i;
-    }
-    panic("fleet: task ", t.name(), " was not placed by this manager");
+    const std::size_t i = t.placementSlot;
+    if (i >= placed.size() || placed[i].task.get() != &t)
+        panic("fleet: task ", t.name(), " was not placed by this manager");
+    return i;
 }
 
 void

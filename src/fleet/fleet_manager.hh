@@ -234,17 +234,14 @@ class FleetManager
      * Open-system churn makes `placed` grow for the run's lifetime
      * (departed tasks stay owned so their usage stays accounted), so
      * the hot paths must not scan it: lookups go through each
-     * device's pid table and load snapshots through its live
-     * aggregates.
+     * task's placementSlot and load snapshots through the per-device
+     * live aggregates.
      */
     struct DeviceState
     {
         bool up = true;
         std::size_t liveTasks = 0;
         double liveDemand = 0.0;
-
-        /** `placed` position by kernel pid (pids are dense from 1). */
-        std::vector<std::size_t> placedByPid;
     };
     std::vector<DeviceState> perDevice; ///< device order
 

@@ -47,7 +47,7 @@ class Task : public Process
     ~Task() override;
 
     int pid() const { return taskPid; }
-    KernelModule &kernelRef() const { return kern; }
+    KernelModule &kernelRef() { return kern; }
 
     /** Channels currently owned (kernel-maintained). */
     const std::vector<Channel *> &channels() const { return chans; }
@@ -156,6 +156,10 @@ class Task : public Process
     /** Outcome slot for OpenChannelAwaitable (set by the kernel). */
     Channel *openResultChannel = nullptr;
     OpenResult openResult = OpenResult::Ok;
+
+    /** Where the owning FleetManager files this task (its position
+     *  in the placement log); the kernel never reads it. */
+    std::size_t placementSlot = static_cast<std::size_t>(-1);
 
   private:
     KernelModule &kern;

@@ -246,10 +246,13 @@ class EventQueue
   private:
     // Pool geometry: slot indices take the low 20 bits of an EventId
     // (1M concurrent events), the insertion sequence the upper 44.
-    // Chunked so growth never moves a live slot.
+    // Chunked so growth never moves a live slot. Chunks are small
+    // because a world's first schedule builds a whole one, a setup cost
+    // paid per world (a paper-pair sweep builds dozens); growth itself
+    // is cold and hands out the same slot indices at any chunk size.
     static constexpr unsigned slotBits = 20;
     static constexpr std::size_t slotCount = std::size_t(1) << slotBits;
-    static constexpr unsigned chunkBits = 9; // 512 slots per chunk
+    static constexpr unsigned chunkBits = 6; // 64 slots per chunk
     static constexpr std::size_t chunkSize = std::size_t(1) << chunkBits;
 
     // Compaction policy: sweeping costs O(entries), so only bother once

@@ -7,7 +7,7 @@
  * at the current tick (the zero-delay lane), near and far; cancels of
  * live, already-run and self ids, including lane entries at the same
  * tick; reschedules and bursts from inside callbacks, with a burst large
- * enough to grow the slot pool past one 512-slot chunk mid-callback; and
+ * enough to grow the slot pool by several chunks mid-callback; and
  * runUntil horizons that land exactly on event ticks. Every executed
  * event must be the reference's minimum, and the live count and clock
  * must agree after every operation.
